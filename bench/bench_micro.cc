@@ -1,12 +1,17 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical library
-// primitives: FFT/DFT, PRACH detection, SINR aggregation, scheduler and
-// interference-manager epochs, JSON parsing for PAWS.
+// primitives: FFT/DFT, PRACH detection, SINR aggregation, the CQI
+// detector, scheduler and interference-manager epochs, JSON parsing for
+// PAWS.
+#include <algorithm>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "cellfi/chaos/invariants.h"
 #include "cellfi/common/fft.h"
 #include "cellfi/common/json.h"
 #include "cellfi/common/simd.h"
+#include "cellfi/core/cqi_detector.h"
 #include "cellfi/core/interference_manager.h"
 #include "cellfi/lte/enodeb.h"
 #include "cellfi/phy/ofdm.h"
@@ -227,21 +232,29 @@ void BM_PrachDetectAllBank(benchmark::State& state) {
 }
 BENCHMARK(BM_PrachDetectAllBank)->Arg(4)->Arg(8);
 
-void BM_SinrAggregation(benchmark::State& state) {
-  static HataUrbanPathLoss pathloss;
-  RadioEnvironmentConfig cfg;
-  cfg.enable_fading = true;
-  RadioEnvironment env(pathloss, cfg);
+// Receiver 0 at the origin, its serving transmitter 1 at 200 m, then
+// `n` interferers placed uniformly in a 4 km square (seeded).
+std::vector<ActiveTransmitter> AddSinrWorld(RadioEnvironment& env, int n) {
   Rng rng(4);
+  env.AddNode({.position = {0, 0}});
+  env.AddNode({.position = {200, 0}, .tx_power_dbm = 30});
   std::vector<ActiveTransmitter> interferers;
-  const RadioNodeId rx = env.AddNode({.position = {0, 0}});
-  const RadioNodeId tx = env.AddNode({.position = {200, 0}, .tx_power_dbm = 30});
-  for (int i = 0; i < state.range(0); ++i) {
+  for (int i = 0; i < n; ++i) {
     interferers.push_back({env.AddNode({.position = {rng.Uniform(-2000, 2000),
                                                      rng.Uniform(-2000, 2000)},
                                         .tx_power_dbm = 30}),
                            1.0 / 13.0});
   }
+  return interferers;
+}
+
+void BM_SinrAggregation(benchmark::State& state) {
+  static HataUrbanPathLoss pathloss;
+  RadioEnvironmentConfig cfg;
+  cfg.enable_fading = true;
+  RadioEnvironment env(pathloss, cfg);
+  const auto interferers = AddSinrWorld(env, static_cast<int>(state.range(0)));
+  const RadioNodeId rx = 0, tx = 1;
   SimTime now = 0;
   for (auto _ : state) {
     now += kMillisecond;
@@ -249,6 +262,57 @@ void BM_SinrAggregation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SinrAggregation)->Arg(4)->Arg(14)->Arg(50);
+
+// The fading SINR path at the densest Fig. 9 point (14 interferers, one
+// receiver, fading on). Arg 0: every query falls in one coherence block,
+// so every fading term hits the receiver's memo. Arg 1: every query
+// starts a new block, so every term misses and rehashes (the worst case).
+void BM_SinrDbFading(benchmark::State& state) {
+  static HataUrbanPathLoss pathloss;
+  RadioEnvironmentConfig cfg;
+  cfg.enable_fading = true;
+  RadioEnvironment env(pathloss, cfg);
+  const auto interferers = AddSinrWorld(env, 14);
+  const RadioNodeId rx = 0, tx = 1;
+  const bool across_blocks = state.range(0) != 0;
+  state.SetLabel(across_blocks ? "across_blocks" : "within_block");
+  SimTime now = 0;
+  std::uint32_t subchannel = 0;
+  for (auto _ : state) {
+    if (across_blocks) now += cfg.fading_coherence_time;
+    subchannel = (subchannel + 1) % 13;
+    benchmark::DoNotOptimize(
+        env.SinrDb(tx, rx, subchannel, now, interferers, 360e3, 1.0 / 13.0));
+  }
+}
+BENCHMARK(BM_SinrDbFading)->Arg(0)->Arg(1);
+
+// One client's CQI report into the paper's detector: 13 sub-bands, the
+// 500-sample running-max window, a seeded stream of CQI 0..15 with slow
+// per-band drift and occasional deep drops.
+void BM_CqiDetectorAddReport(benchmark::State& state) {
+  constexpr int kBands = 13;
+  Rng rng(8);
+  std::vector<std::vector<int>> stream(4096, std::vector<int>(kBands));
+  std::vector<int> level(kBands, 10);
+  for (auto& report : stream) {
+    for (int s = 0; s < kBands; ++s) {
+      auto& l = level[static_cast<std::size_t>(s)];
+      l = std::clamp(l + static_cast<int>(rng.UniformInt(-1, 1)), 0, 15);
+      report[static_cast<std::size_t>(s)] =
+          rng.Bernoulli(0.05) ? static_cast<int>(rng.UniformInt(0, 5)) : l;
+    }
+  }
+  core::CqiInterferenceDetector detector(kBands, {.max_window = 500});
+  std::size_t i = 0;
+  for (auto _ : state) {
+    detector.AddReport(stream[i]);
+    i = (i + 1) % stream.size();
+    benchmark::DoNotOptimize(detector.LowStreak(0));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CqiDetectorAddReport);
 
 // Shared setup for the interference-engine kernels: `n` cells all
 // transmitting full-band (13 subchannels, flat PSD) and one receiver,

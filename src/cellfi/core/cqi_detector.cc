@@ -1,24 +1,44 @@
 #include "cellfi/core/cqi_detector.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace cellfi::core {
+namespace {
+
+void Require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(std::string("CqiInterferenceDetector: ") + what);
+}
+
+// NaN fails every comparison, so it is rejected too.
+const CqiDetectorConfig& Validated(const CqiDetectorConfig& config) {
+  Require(config.max_window >= 1, "max_window must be >= 1");
+  Require(config.consecutive >= 1, "consecutive must be >= 1");
+  Require(config.ratio > 0.0, "ratio must be > 0");
+  Require(config.smoothing > 0.0 && config.smoothing <= 1.0, "smoothing must be in (0, 1]");
+  return config;
+}
+
+}  // namespace
 
 CqiInterferenceDetector::CqiInterferenceDetector(int num_subchannels,
                                                  CqiDetectorConfig config)
-    : config_(config), bands_(static_cast<std::size_t>(num_subchannels)) {}
+    : config_(Validated(config)),
+      bands_(static_cast<std::size_t>(num_subchannels)) {}
 
 void CqiInterferenceDetector::AddReport(const std::vector<int>& subband_cqi) {
   const std::size_t n = std::min(subband_cqi.size(), bands_.size());
   for (std::size_t s = 0; s < n; ++s) {
     Band& band = bands_[s];
-    band.window.push_back(subband_cqi[s]);
-    if (static_cast<int>(band.window.size()) > config_.max_window) {
-      band.window.pop_front();
+    const std::int64_t index = band.samples++;
+    auto& candidates = band.max_candidates;
+    while (!candidates.empty() && candidates.back().value <= subband_cqi[s]) {
+      candidates.pop_back();
     }
-    const int max_cqi = *std::max_element(band.window.begin(), band.window.end());
-    const double threshold = config_.ratio * static_cast<double>(max_cqi);
+    candidates.push_back({index, subband_cqi[s]});
+    if (candidates.front().index <= index - config_.max_window) candidates.pop_front();
+    const double threshold = config_.ratio * static_cast<double>(candidates.front().value);
     if (static_cast<double>(subband_cqi[s]) < threshold) {
       ++band.low_streak;
     } else {
@@ -52,8 +72,7 @@ bool CqiInterferenceDetector::Detected(int s) const {
 
 int CqiInterferenceDetector::MaxCqi(int s) const {
   const Band& band = bands_[static_cast<std::size_t>(s)];
-  if (band.window.empty()) return 0;
-  return *std::max_element(band.window.begin(), band.window.end());
+  return band.max_candidates.empty() ? 0 : band.max_candidates.front().value;
 }
 
 }  // namespace cellfi::core

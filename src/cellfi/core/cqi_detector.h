@@ -35,6 +35,8 @@ struct CqiDetectorConfig {
 /// Detector state for one client (all sub-bands).
 class CqiInterferenceDetector {
  public:
+  /// Throws std::invalid_argument unless max_window >= 1, consecutive >= 1,
+  /// ratio > 0 and smoothing is in (0, 1].
   CqiInterferenceDetector(int num_subchannels, CqiDetectorConfig config = {});
 
   /// Feed one decoded report (per-subchannel CQI).
@@ -55,8 +57,19 @@ class CqiInterferenceDetector {
   int num_subchannels() const { return static_cast<int>(bands_.size()); }
 
  private:
+  /// One candidate for the window max: the band's `index`-th sample.
+  struct Candidate {
+    std::int64_t index;
+    int value;
+  };
   struct Band {
-    std::deque<int> window;  // recent samples for the running max
+    /// Monotonic deque over the last max_window samples: values strictly
+    /// decrease from front to back, so the front is the exact window max.
+    /// A sample is dropped once a later one is at least as large (it can
+    /// never be the max again) or once it leaves the window. With CQI in
+    /// 0..15 it never holds more than 16 entries.
+    std::deque<Candidate> max_candidates;
+    std::int64_t samples = 0;  // reports seen on this band
     int low_streak = 0;      // temporal rule
     double smoothed = -1.0;  // EWMA; -1 = no samples yet
     int spectral_streak = 0; // spectral rule

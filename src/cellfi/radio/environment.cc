@@ -1,5 +1,6 @@
 #include "cellfi/radio/environment.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -23,7 +24,8 @@ RadioNodeId RadioEnvironment::AddNode(RadioNode node) {
                      std::numeric_limits<double>::quiet_NaN());
   rx_mw_cache_.assign(nodes_.size() * nodes_.size(),
                       std::numeric_limits<double>::quiet_NaN());
-  noise_mw_cache_.assign(nodes_.size(), NoiseMemo{});
+  noise_mw_cache_.emplace_back();
+  fading_memo_.emplace_back();
   ++position_epoch_;
   return static_cast<RadioNodeId>(nodes_.size() - 1);
 }
@@ -73,8 +75,57 @@ double RadioEnvironment::MeanRxPowerMw(RadioNodeId tx, RadioNodeId rx) const {
 double RadioEnvironment::RxPowerDbm(RadioNodeId tx, RadioNodeId rx,
                                     std::uint32_t subchannel, SimTime now) const {
   double p = MeanRxPowerDbm(tx, rx);
-  if (config_.enable_fading) p += fading_.GainDb(tx, rx, subchannel, now);
+  if (config_.enable_fading) {
+    p += FadingProcess::PowerGainToDb(
+        FadingGain(FadingMemoAt(rx, now), tx, rx, subchannel, now));
+  }
   return p;
+}
+
+RadioEnvironment::FadingMemo& RadioEnvironment::FadingMemoAt(RadioNodeId rx,
+                                                             SimTime now) const {
+  FadingMemo& memo = fading_memo_[rx];
+  const std::uint64_t block = fading_.BlockIndex(now);
+  if (memo.block != block) {
+    memo.block = block;
+    if (memo.used > 0) {
+      std::fill(memo.slots.begin(), memo.slots.end(), FadingMemo::Slot{});
+      memo.used = 0;
+    }
+  }
+  return memo;
+}
+
+std::size_t RadioEnvironment::FadingMemo::Probe(std::uint64_t key) const {
+  // Fibonacci hashing (high product bits), then linear probing.
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 40) & mask;
+  while (slots[i].gain >= 0.0 && slots[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+void RadioEnvironment::FadingMemo::Grow() {
+  const std::vector<Slot> old =
+      std::exchange(slots, std::vector<Slot>(std::max<std::size_t>(16, 2 * slots.size())));
+  for (const Slot& slot : old) {
+    if (slot.gain >= 0.0) slots[Probe(slot.key)] = slot;
+  }
+}
+
+double RadioEnvironment::FadingGain(FadingMemo& memo, RadioNodeId tx, RadioNodeId rx,
+                                    std::uint32_t subchannel, SimTime now) const {
+  const std::uint64_t key = (static_cast<std::uint64_t>(tx) << 32) | subchannel;
+  if (memo.slots.empty()) memo.Grow();
+  std::size_t i = memo.Probe(key);
+  if (memo.slots[i].gain >= 0.0) return memo.slots[i].gain;
+  const double gain = fading_.PowerGain(tx, rx, subchannel, now);
+  if (4 * (memo.used + 1) > 3 * memo.slots.size()) {
+    memo.Grow();
+    i = memo.Probe(key);
+  }
+  memo.slots[i] = {key, gain};
+  ++memo.used;
+  return gain;
 }
 
 double RadioEnvironment::NoiseDbm(RadioNodeId rx, double bandwidth_hz) const {
@@ -101,14 +152,16 @@ double RadioEnvironment::SinrDb(RadioNodeId tx, RadioNodeId rx, std::uint32_t su
                                 SimTime now,
                                 const std::vector<ActiveTransmitter>& interferers,
                                 double bandwidth_hz, double signal_scale) const {
-  // Fully linear hot path: the receiver's contiguous mean-power row plus
-  // the memoized noise floor leave only the fading hash per term.
+  // Fully linear hot path: the receiver's contiguous mean-power row, the
+  // memoized noise floor and its coherence-block fading memo leave one
+  // table probe per term.
   const std::size_t n = nodes_.size();
   double* row = &rx_mw_cache_[rx * n];
+  FadingMemo* memo = config_.enable_fading ? &FadingMemoAt(rx, now) : nullptr;
   double signal_mw = row[tx];
   if (std::isnan(signal_mw)) signal_mw = row[tx] = DbmToMw(MeanRxPowerDbm(tx, rx));
   signal_mw *= signal_scale;
-  if (config_.enable_fading) signal_mw *= fading_.PowerGain(tx, rx, subchannel, now);
+  if (memo != nullptr) signal_mw *= FadingGain(*memo, tx, rx, subchannel, now);
   // Blocked accumulation (DESIGN.md §17): contributing term i goes to lane
   // i mod 8, lanes combine with the fixed ReduceLanes8 tree. Skipped
   // entries are compacted out (they never occupy a lane), so the value
@@ -122,7 +175,7 @@ double RadioEnvironment::SinrDb(RadioNodeId tx, RadioNodeId rx, std::uint32_t su
     double p = row[it.node];
     if (std::isnan(p)) p = row[it.node] = DbmToMw(MeanRxPowerDbm(it.node, rx));
     p *= it.power_scale;
-    if (config_.enable_fading) p *= fading_.PowerGain(it.node, rx, subchannel, now);
+    if (memo != nullptr) p *= FadingGain(*memo, it.node, rx, subchannel, now);
     lanes[m & 7] += p;
     ++m;
   }

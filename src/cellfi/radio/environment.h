@@ -78,7 +78,8 @@ class RadioEnvironment {
   double LinkGainDb(RadioNodeId tx, RadioNodeId rx) const;
 
   /// Received power from `tx` at `rx` on `subchannel` at time `now`,
-  /// including fading, dBm.
+  /// including fading, dBm. Reads the fading gain through `rx`'s
+  /// coherence-block memo (see SinrDb), so it writes `rx`'s state.
   double RxPowerDbm(RadioNodeId tx, RadioNodeId rx, std::uint32_t subchannel,
                     SimTime now) const;
 
@@ -109,6 +110,10 @@ class RadioEnvironment {
   /// transmitter's total power radiated in the measured band (e.g. 1/13 for
   /// one of 13 subchannels under flat PSD, or 1/n_alloc for an uplink
   /// transmission concentrating full power into n_alloc subchannels).
+  ///
+  /// Fills `rx`'s lazily cached state: its mean rx-power row, noise memo
+  /// and fading memo. Concurrent calls are safe only for distinct
+  /// receivers (receiver ownership, DESIGN.md §15).
   double SinrDb(RadioNodeId tx, RadioNodeId rx, std::uint32_t subchannel, SimTime now,
                 const std::vector<ActiveTransmitter>& interferers,
                 double bandwidth_hz, double signal_scale = 1.0) const;
@@ -138,6 +143,34 @@ class RadioEnvironment {
     double noise_mw[2] = {0.0, 0.0};
   };
   mutable std::vector<NoiseMemo> noise_mw_cache_;
+  /// Fading power gains one receiver has read in one coherence block,
+  /// keyed by (tx << 32 | subchannel): an open-addressed table with
+  /// linear probing, power-of-two capacity grown at 3/4 load, emptied when
+  /// the block changes. Its size follows the pairs the receiver actually
+  /// queries, never n*n*S. Block fading makes every hit bit-identical to a
+  /// fresh FadingProcess::PowerGain; position-independent, so MoveNode
+  /// keeps it.
+  struct FadingMemo {
+    struct Slot {
+      std::uint64_t key = 0;
+      double gain = -1.0;  // < 0 = empty (power gains are >= 0)
+    };
+    std::uint64_t block = 0;
+    std::size_t used = 0;
+    std::vector<Slot> slots;  // empty or a power of two, at most 3/4 used
+    /// Index of `key`'s slot, or of the empty slot it would take.
+    /// Requires a non-empty table.
+    std::size_t Probe(std::uint64_t key) const;
+    /// Double the table (16 slots first), re-inserting every entry.
+    void Grow();
+  };
+  mutable std::vector<FadingMemo> fading_memo_;  // one per receiver
+  /// `rx`'s fading memo, emptied first if `now` is in a new block.
+  FadingMemo& FadingMemoAt(RadioNodeId rx, SimTime now) const;
+  /// fading_.PowerGain(tx, rx, subchannel, now) through `memo`, which must
+  /// be FadingMemoAt(rx, now).
+  double FadingGain(FadingMemo& memo, RadioNodeId tx, RadioNodeId rx,
+                    std::uint32_t subchannel, SimTime now) const;
   std::uint64_t position_epoch_ = 1;
 };
 

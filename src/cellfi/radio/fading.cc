@@ -58,9 +58,8 @@ double FadingProcess::PowerGain(std::uint32_t a, std::uint32_t b,
                                 std::uint32_t subchannel, SimTime now) const {
   const std::uint32_t lo = std::min(a, b);
   const std::uint32_t hi = std::max(a, b);
-  const std::uint64_t block = static_cast<std::uint64_t>(now / coherence_time_);
   const std::uint64_t h = HashWords(seed_, (static_cast<std::uint64_t>(lo) << 32) | hi,
-                                    subchannel, block);
+                                    subchannel, BlockIndex(now));
   if (rician_k_ <= 0.0) {
     // Exp(1) power gain: Rayleigh amplitude fading.
     return -std::log(HashToUnitInterval(h));
@@ -78,7 +77,11 @@ double FadingProcess::PowerGain(std::uint32_t a, std::uint32_t b,
 
 double FadingProcess::GainDb(std::uint32_t a, std::uint32_t b, std::uint32_t subchannel,
                              SimTime now) const {
-  return LinearToDb(std::max(PowerGain(a, b, subchannel, now), 1e-12));
+  return PowerGainToDb(PowerGain(a, b, subchannel, now));
+}
+
+double FadingProcess::PowerGainToDb(double power_gain) {
+  return LinearToDb(std::max(power_gain, 1e-12));
 }
 
 }  // namespace cellfi

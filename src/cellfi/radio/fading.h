@@ -60,6 +60,15 @@ class FadingProcess {
   double GainDb(std::uint32_t a, std::uint32_t b, std::uint32_t subchannel,
                 SimTime now) const;
 
+  /// A PowerGain value in dB, floored at -120 dB (GainDb's conversion).
+  static double PowerGainToDb(double power_gain);
+
+  /// Index of the coherence block containing `now`; PowerGain is constant
+  /// for a given link and subchannel while it stays the same.
+  std::uint64_t BlockIndex(SimTime now) const {
+    return static_cast<std::uint64_t>(now / coherence_time_);
+  }
+
   SimTime coherence_time() const { return coherence_time_; }
   double rician_k() const { return rician_k_; }
 

@@ -6,8 +6,11 @@
 // reboot storms verified from the emitted trace by tools/trace_check.py,
 // the harness-level CELLFI_CHAOS_PLAN knob, and the self-healing sweep
 // supervisor (retry, quarantine, watchdog, checkpoint/resume).
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -36,6 +39,28 @@ using chaos::FaultPlan;
 using chaos::InvariantChecker;
 using chaos::InvariantCheckerConfig;
 using chaos::InvariantKind;
+
+// Temp files live in a per-process directory: ctest runs the discovered
+// per-test entries and the whole-binary chaos_test_chaos_suite at the same
+// time, so fixed names under TempDir() would collide between the two
+// processes. The directory is removed when the test binary finishes.
+const std::string& ProcessTempDir() {
+  static const std::string dir = [] {
+    std::string d = testing::TempDir() + "chaos_test_" + std::to_string(getpid());
+    std::filesystem::create_directories(d);
+    return d;
+  }();
+  return dir;
+}
+
+std::string TempPath(const std::string& name) { return ProcessTempDir() + "/" + name; }
+
+class RemoveProcessTempDir : public testing::Environment {
+ public:
+  void TearDown() override { std::filesystem::remove_all(ProcessTempDir()); }
+};
+[[maybe_unused]] testing::Environment* const kRemoveProcessTempDir =
+    testing::AddGlobalTestEnvironment(new RemoveProcessTempDir);
 
 // --- Fault plans -----------------------------------------------------------
 
@@ -354,8 +379,8 @@ TEST(ChaosCampaignTest, ThunderingHerdMeetsVacateDeadlines) {
   cfgs[2].run_until = 700 * kSecond;
 
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    const std::string path = testing::TempDir() + "chaos_herd_trace_" +
-                             std::to_string(i) + ".jsonl";
+    const std::string path = TempPath("chaos_herd_trace_" +
+                                      std::to_string(i) + ".jsonl");
     std::remove(path.c_str());
     {
       obs::TraceSinkConfig sink_cfg;
@@ -422,7 +447,7 @@ TEST(HarnessChaosTest, EnvKnobLoadsPlanFromFile) {
   plan.name = "env-knob";
   plan.events.push_back(
       {.kind = FaultKind::kApCrash, .time = 300 * kMillisecond, .target = 0});
-  const std::string path = testing::TempDir() + "chaos_env_plan.json";
+  const std::string path = TempPath("chaos_env_plan.json");
   {
     std::ofstream file(path);
     file << plan.ToJsonText() << "\n";
@@ -452,7 +477,7 @@ std::vector<scenario::Replication> SupervisorJobs(int reps) {
     scenario::ScenarioConfig cfg;
     cfg.duration = 2 * kSecond;
     cfg.seed = scenario::SweepSeed(0xC4A05, 0, static_cast<std::uint64_t>(rep));
-    jobs.push_back(scenario::Replication{cfg, nullptr, 0, rep});
+    jobs.push_back(scenario::Replication{cfg, nullptr, 0, rep, {}});
   }
   return jobs;
 }
@@ -541,7 +566,7 @@ TEST(SweepSupervisorTest, FailureRecordLandsInBenchArtifact) {
     return SeedBody(job);
   });
 
-  ASSERT_EQ(setenv("CELLFI_BENCH_OUT", testing::TempDir().c_str(), 1), 0);
+  ASSERT_EQ(setenv("CELLFI_BENCH_OUT", ProcessTempDir().c_str(), 1), 0);
   scenario::BenchReport report("chaos_supervisor_test", 1, 2);
   report.AddPoint("p0", outcomes, 0);
   const std::string path = report.Write();
@@ -567,7 +592,7 @@ TEST(SweepSupervisorTest, FailureRecordLandsInBenchArtifact) {
 
 TEST(SweepSupervisorTest, ResumeRestoresCompletedAndRetriesFailed) {
   const auto jobs = SupervisorJobs(4);
-  const std::string resume = testing::TempDir() + "chaos_sweep_resume.jsonl";
+  const std::string resume = TempPath("chaos_sweep_resume.jsonl");
   std::remove(resume.c_str());
 
   // "Interrupted" first run: reps 0 and 1 complete (rep 1 fails hard),
@@ -600,7 +625,7 @@ TEST(SweepSupervisorTest, ResumeRestoresCompletedAndRetriesFailed) {
 }
 
 TEST(SweepSupervisorTest, ResumePathResolvesFromEnv) {
-  const std::string resume = testing::TempDir() + "chaos_env_resume.jsonl";
+  const std::string resume = TempPath("chaos_env_resume.jsonl");
   ASSERT_EQ(setenv("CELLFI_SWEEP_RESUME", resume.c_str(), 1), 0);
   scenario::SweepSupervisor sup;
   unsetenv("CELLFI_SWEEP_RESUME");
@@ -632,10 +657,10 @@ std::string ReadAll(const std::string& path) {
 
 TEST(SweepSupervisorTest, ResumedArtifactByteIdenticalModuloWallClock) {
   const auto jobs = SupervisorJobs(4);
-  ASSERT_EQ(setenv("CELLFI_BENCH_OUT", testing::TempDir().c_str(), 1), 0);
+  ASSERT_EQ(setenv("CELLFI_BENCH_OUT", ProcessTempDir().c_str(), 1), 0);
 
   // Uninterrupted reference sweep.
-  const std::string resume_a = testing::TempDir() + "chaos_resume_a.jsonl";
+  const std::string resume_a = TempPath("chaos_resume_a.jsonl");
   std::remove(resume_a.c_str());
   std::string path_a;
   {
@@ -647,7 +672,7 @@ TEST(SweepSupervisorTest, ResumedArtifactByteIdenticalModuloWallClock) {
   }
 
   // Interrupted after two replications, then resumed over the full grid.
-  const std::string resume_b = testing::TempDir() + "chaos_resume_b.jsonl";
+  const std::string resume_b = TempPath("chaos_resume_b.jsonl");
   std::remove(resume_b.c_str());
   {
     scenario::SweepSupervisor sup(Opts(1, 2, 0.0, resume_b));

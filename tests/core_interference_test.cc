@@ -1,5 +1,14 @@
+#include <algorithm>
+#include <climits>
+#include <cmath>
+#include <cstdint>
+#include <deque>
+#include <stdexcept>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "cellfi/common/rng.h"
 #include "cellfi/core/cqi_detector.h"
 #include "cellfi/core/interference_manager.h"
 #include "cellfi/core/prach_sensor.h"
@@ -69,6 +78,156 @@ TEST(CqiDetectorTest, MaxTracksWindow) {
   // 15 slid out of the 5-sample window; max is now 7, so 7 is not "low".
   EXPECT_EQ(det.MaxCqi(0), 7);
   EXPECT_FALSE(det.Detected(0));
+}
+
+TEST(CqiDetectorTest, RejectsInvalidMaxWindow) {
+  EXPECT_THROW(CqiInterferenceDetector(13, {.max_window = 0}), std::invalid_argument);
+  EXPECT_THROW(CqiInterferenceDetector(13, {.max_window = -5}), std::invalid_argument);
+}
+
+TEST(CqiDetectorTest, RejectsInvalidConsecutive) {
+  EXPECT_THROW(CqiInterferenceDetector(13, {.consecutive = 0}), std::invalid_argument);
+  EXPECT_THROW(CqiInterferenceDetector(13, {.consecutive = -1}), std::invalid_argument);
+}
+
+TEST(CqiDetectorTest, RejectsInvalidRatio) {
+  EXPECT_THROW(CqiInterferenceDetector(13, {.ratio = 0.0}), std::invalid_argument);
+  EXPECT_THROW(CqiInterferenceDetector(13, {.ratio = -0.6}), std::invalid_argument);
+  EXPECT_THROW(CqiInterferenceDetector(13, {.ratio = std::nan("")}), std::invalid_argument);
+}
+
+TEST(CqiDetectorTest, RejectsSmoothingOutsideUnitInterval) {
+  for (const double smoothing : {0.0, -0.1, 1.5, std::nan("")}) {
+    EXPECT_THROW(CqiInterferenceDetector(13, {.smoothing = smoothing}),
+                 std::invalid_argument)
+        << smoothing;
+  }
+}
+
+TEST(CqiDetectorTest, AcceptsBoundaryConfig) {
+  CqiInterferenceDetector det(
+      1, {.ratio = 1e-9, .consecutive = 1, .max_window = 1, .smoothing = 1.0});
+  EXPECT_FALSE(det.Detected(0));
+  det.AddReport({7});
+  EXPECT_EQ(det.MaxCqi(0), 7);
+  EXPECT_EQ(det.SmoothedCqi(0), 7.0);
+}
+
+// Test-only oracle: the detector's original O(window) algorithm. Each
+// sub-band keeps its raw last max_window samples in a deque and rescans
+// them with max_element on every report.
+class ReferenceCqiDetector {
+ public:
+  ReferenceCqiDetector(int num_subchannels, CqiDetectorConfig config)
+      : config_(config), bands_(static_cast<std::size_t>(num_subchannels)) {}
+
+  void AddReport(const std::vector<int>& subband_cqi) {
+    const std::size_t n = std::min(subband_cqi.size(), bands_.size());
+    for (std::size_t s = 0; s < n; ++s) {
+      Band& band = bands_[s];
+      band.window.push_back(subband_cqi[s]);
+      if (static_cast<int>(band.window.size()) > config_.max_window) {
+        band.window.pop_front();
+      }
+      const int max_cqi = *std::max_element(band.window.begin(), band.window.end());
+      if (static_cast<double>(subband_cqi[s]) < config_.ratio * static_cast<double>(max_cqi)) {
+        ++band.low_streak;
+      } else {
+        band.low_streak = 0;
+      }
+      band.smoothed = band.smoothed < 0.0
+                          ? static_cast<double>(subband_cqi[s])
+                          : (1.0 - config_.smoothing) * band.smoothed +
+                                config_.smoothing * static_cast<double>(subband_cqi[s]);
+    }
+    if (config_.enable_spectral_rule) {
+      double best = 0.0;
+      for (std::size_t s = 0; s < n; ++s) best = std::max(best, bands_[s].smoothed);
+      for (std::size_t s = 0; s < n; ++s) {
+        Band& band = bands_[s];
+        band.spectral_streak = band.smoothed < config_.ratio * best ? band.spectral_streak + 1 : 0;
+      }
+    }
+  }
+
+  bool Detected(int s) const {
+    const Band& band = bands_[static_cast<std::size_t>(s)];
+    return band.low_streak >= config_.consecutive ||
+           band.spectral_streak >= config_.consecutive;
+  }
+  int MaxCqi(int s) const {
+    const Band& band = bands_[static_cast<std::size_t>(s)];
+    return band.window.empty() ? 0 : *std::max_element(band.window.begin(), band.window.end());
+  }
+  int LowStreak(int s) const { return bands_[static_cast<std::size_t>(s)].low_streak; }
+  double SmoothedCqi(int s) const { return bands_[static_cast<std::size_t>(s)].smoothed; }
+
+ private:
+  struct Band {
+    std::deque<int> window;
+    int low_streak = 0;
+    double smoothed = -1.0;
+    int spectral_streak = 0;
+  };
+  CqiDetectorConfig config_;
+  std::vector<Band> bands_;
+};
+
+enum class CqiStream { kUniform, kLongTies, kWideRange, kRandomWalk };
+
+// One report of `num_subchannels` values (occasionally shorter or longer,
+// so sub-bands see different sample counts). `state` carries per-band
+// run/walk values between calls.
+std::vector<int> NextReport(CqiStream kind, Rng& rng, std::vector<int>& state) {
+  std::vector<int> report(state.size());
+  for (std::size_t s = 0; s < state.size(); ++s) {
+    switch (kind) {
+      case CqiStream::kUniform:
+        state[s] = static_cast<int>(rng.UniformInt(0, 15));
+        break;
+      case CqiStream::kLongTies:  // runs of ~40 equal samples
+        if (rng.Bernoulli(0.025)) state[s] = static_cast<int>(rng.UniformInt(0, 15));
+        break;
+      case CqiStream::kWideRange:
+        state[s] = rng.Bernoulli(0.01) ? (rng.Bernoulli(0.5) ? INT_MIN : INT_MAX)
+                                       : static_cast<int>(rng.UniformInt(-1000, 1000));
+        break;
+      case CqiStream::kRandomWalk:  // long descents grow the candidate deque
+        state[s] += static_cast<int>(rng.UniformInt(-3, 2));
+        break;
+    }
+    report[s] = state[s];
+  }
+  if (rng.Bernoulli(0.05)) report.resize(static_cast<std::size_t>(rng.UniformInt(0, 12)));
+  if (rng.Bernoulli(0.02)) report.push_back(99);  // extra entry is ignored
+  return report;
+}
+
+TEST(CqiDetectorTest, RunningMaxMatchesWindowScanOracle) {
+  constexpr int kBands = 13;
+  for (const int window : {1, 2, 5, 500}) {
+    for (const CqiStream kind : {CqiStream::kUniform, CqiStream::kLongTies,
+                                 CqiStream::kWideRange, CqiStream::kRandomWalk}) {
+      const CqiDetectorConfig config{.max_window = window};
+      CqiInterferenceDetector det(kBands, config);
+      ReferenceCqiDetector ref(kBands, config);
+      Rng rng(1000 + static_cast<std::uint64_t>(window) * 7 + static_cast<std::uint64_t>(kind));
+      std::vector<int> state(kBands, 10);
+      for (int r = 0; r < 2500; ++r) {
+        const std::vector<int> report = NextReport(kind, rng, state);
+        det.AddReport(report);
+        ref.AddReport(report);
+        for (int s = 0; s < kBands; ++s) {
+          ASSERT_EQ(det.MaxCqi(s), ref.MaxCqi(s))
+              << "window " << window << " stream " << static_cast<int>(kind)
+              << " report " << r << " band " << s;
+          ASSERT_EQ(det.LowStreak(s), ref.LowStreak(s)) << "report " << r << " band " << s;
+          ASSERT_EQ(det.SmoothedCqi(s), ref.SmoothedCqi(s)) << "report " << r << " band " << s;
+          ASSERT_EQ(det.Detected(s), ref.Detected(s)) << "report " << r << " band " << s;
+        }
+      }
+    }
+  }
 }
 
 InterferenceManagerConfig ImConfig(int subchannels = 13) {

@@ -8,6 +8,8 @@
 // to IM decision order, sim-time bookkeeping or trace formatting shows up
 // as a diff here. Regenerate deliberately with
 // `CELLFI_UPDATE_GOLDEN=1 ./build/tests/obs_trace_test`.
+#include <unistd.h>
+
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -77,7 +79,10 @@ TEST(TraceSinkTest, EventsFilterByComponentAndEvent) {
 }
 
 TEST(TraceSinkTest, JsonlFileMatchesToJsonl) {
-  const std::string path = testing::TempDir() + "/obs_trace_test_out.jsonl";
+  // Per-process name: ctest runs this binary's discovered tests and its
+  // whole-binary obs_trace_test_trace_suite at the same time.
+  const std::string path = testing::TempDir() + "/obs_trace_test_out_" +
+                           std::to_string(getpid()) + ".jsonl";
   {
     TraceSinkConfig cfg;
     cfg.jsonl_path = path;

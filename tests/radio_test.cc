@@ -1,7 +1,10 @@
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cellfi/common/rng.h"
+#include "cellfi/common/simd.h"
 #include "cellfi/common/stats.h"
 #include "cellfi/common/units.h"
 #include "cellfi/radio/antenna.h"
@@ -252,6 +255,86 @@ TEST_F(EnvironmentTest, NoiseMwMemoSurvivesAlternatingBandwidths) {
   // AddNode resizes the memo vector; values stay correct afterwards.
   (void)env_.AddNode({.position = {900, 900}});
   EXPECT_DOUBLE_EQ(env_.NoiseMw(ue_near_, 360e3), sub);
+}
+
+// Test-only oracle for the fading path: SinrDb recomputed with a fresh
+// FadingProcess::PowerGain for every term (no coherence-block memo), in
+// the same blocked lane order, so the memoized result must match bit for
+// bit.
+double DirectFadingSinrDb(const RadioEnvironment& env, RadioNodeId tx, RadioNodeId rx,
+                          std::uint32_t subchannel, SimTime now,
+                          const std::vector<ActiveTransmitter>& interferers,
+                          double bandwidth_hz, double signal_scale) {
+  const FadingProcess& fading = env.fading();
+  const double signal_mw = env.MeanRxPowerMw(tx, rx) * signal_scale *
+                           fading.PowerGain(tx, rx, subchannel, now);
+  double lanes[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  std::size_t m = 0;
+  for (const ActiveTransmitter& it : interferers) {
+    if (it.node == tx || it.node == rx || it.power_scale <= 0.0) continue;
+    lanes[m & 7] += env.MeanRxPowerMw(it.node, rx) * it.power_scale *
+                    fading.PowerGain(it.node, rx, subchannel, now);
+    ++m;
+  }
+  const double denom_mw =
+      DbmToMw(env.NoiseDbm(rx, bandwidth_hz)) + simd::ReduceLanes8(lanes);
+  return LinearToDb(signal_mw / denom_mw);
+}
+
+// The per-receiver coherence-block fading memo is invisible: SinrDb and
+// RxPowerDbm equal direct PowerGain arithmetic across block boundaries
+// (forward and backward in time), table growth, AddNode mid-run and
+// MoveNode, for Rayleigh and Rician fading.
+TEST(FadingMemoTest, MatchesDirectPowerGainArithmetic) {
+  const FreeSpacePathLoss pathloss;
+  for (const double k : {0.0, 6.0}) {
+    RadioEnvironmentConfig cfg;
+    cfg.carrier_freq_hz = kTvwsFreq;
+    cfg.rician_k = k;
+    RadioEnvironment env(pathloss, cfg);
+    Rng rng(k > 0.0 ? 11 : 7);
+    std::vector<RadioNodeId> nodes;
+    auto add_node = [&] {
+      nodes.push_back(env.AddNode({.position = {rng.Uniform(0, 2000), rng.Uniform(0, 2000)},
+                                   .tx_power_dbm = 30.0}));
+    };
+    for (int i = 0; i < 12; ++i) add_node();
+    const SimTime coherence = env.fading().coherence_time();
+    // Times straddling block edges, including a step back to an old block.
+    std::vector<SimTime> times;
+    for (SimTime t = 0; t < 3 * coherence; t += 7 * kMillisecond) times.push_back(t);
+    for (const SimTime t : {coherence - 1, coherence, 2 * coherence - 1, SimTime{0},
+                            2 * coherence, 5 * coherence + 3}) {
+      times.push_back(t);
+    }
+    for (std::size_t step = 0; step < times.size(); ++step) {
+      const SimTime now = times[step];
+      if (step == 10) add_node();  // new interferer and receiver mid-run
+      if (step == 14) env.MoveNode(nodes[1], {1500, 200});
+      if (step == 17) env.MoveNode(nodes[0], {100, 1900});
+      for (int q = 0; q < 40; ++q) {
+        const auto pick = [&] {
+          return nodes[static_cast<std::size_t>(
+              rng.UniformInt(0, static_cast<std::int64_t>(nodes.size()) - 1))];
+        };
+        const RadioNodeId rx = q % 3 == 0 ? nodes[0] : pick();
+        RadioNodeId tx = pick();
+        while (tx == rx) tx = pick();
+        std::vector<ActiveTransmitter> interferers;
+        for (const RadioNodeId node : nodes) {
+          if (rng.Bernoulli(0.6)) interferers.push_back({node, rng.Uniform(0.0, 1.0)});
+        }
+        const auto subchannel = static_cast<std::uint32_t>(rng.UniformInt(0, 12));
+        ASSERT_EQ(env.SinrDb(tx, rx, subchannel, now, interferers, 360e3, 1.0 / 13.0),
+                  DirectFadingSinrDb(env, tx, rx, subchannel, now, interferers, 360e3,
+                                     1.0 / 13.0))
+            << "k " << k << " step " << step << " query " << q;
+        ASSERT_EQ(env.RxPowerDbm(tx, rx, subchannel, now),
+                  env.MeanRxPowerDbm(tx, rx) + env.fading().GainDb(tx, rx, subchannel, now))
+            << "k " << k << " step " << step << " query " << q;
+      }
+    }
+  }
 }
 
 }  // namespace

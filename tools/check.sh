@@ -9,7 +9,8 @@
 #                       (skips cleanly when clang-tidy is not installed)
 #
 # Usage: tools/check.sh [--fast] [--bench] [--trace] [--chaos] [--shard]
-#                       [--simd] [--purity] [--traffic] [--static]
+#                       [--simd] [--purity] [--traffic] [--perfbench]
+#                       [--static]
 #   --fast   skip the sanitizer stage (inner-loop use; CI runs everything)
 #   --bench  additionally run the bench_smoke suite (1-rep end-to-end runs
 #            of every sweep bench, including the bench_scale bit-identity
@@ -45,6 +46,12 @@
 #            full-sim cross-validation, flash-crowd hop trigger, golden
 #            diurnal trace, tier bit-identity) under the ASan+UBSan build.
 #            Implies the sanitize configure even with --fast.
+#   --perfbench additionally run the benchmark's self-test
+#            (python3 perfbench/test_perfbench.py: builds the Release
+#            cellfi_perfbench into .bench_build/, then checks that traced
+#            per-layer counts repeat across same-seed runs and that the
+#            benchmark's scenario assembly gives scenario::RunScenario's
+#            bytes and passes the outcome gates). About a minute.
 #   --static run ONLY the static gates — determinism lint (--strict-allow),
 #            clang-tidy vs baseline, and the purity analyzer — with a
 #            configure-only cmake step for compile_commands.json and no
@@ -63,6 +70,7 @@ SHARD=0
 SIMD=0
 PURITY=0
 TRAFFIC=0
+PERFBENCH=0
 STATIC=0
 for arg in "$@"; do
   case "$arg" in
@@ -74,6 +82,7 @@ for arg in "$@"; do
     --simd) SIMD=1 ;;
     --purity) PURITY=1 ;;
     --traffic) TRAFFIC=1 ;;
+    --perfbench) PERFBENCH=1 ;;
     --static) STATIC=1 ;;
     *) echo "check.sh: unknown argument '$arg'" >&2; exit 2 ;;
   esac
@@ -176,6 +185,11 @@ if [[ "$PURITY" -eq 1 ]]; then
   step "phase-purity analyzer vs frozen baseline"
   python3 tools/cellfi_purity.py --repo "$ROOT" --strict-allow \
     --build-dir "$ROOT/build-check"
+fi
+
+if [[ "$PERFBENCH" -eq 1 ]]; then
+  step "benchmark self-test (perfbench/test_perfbench.py)"
+  python3 perfbench/test_perfbench.py
 fi
 
 if [[ "$BENCH" -eq 1 ]]; then
