@@ -374,6 +374,33 @@ void BM_InterferenceMapSinrLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_InterferenceMapSinrLookup)->Arg(4)->Arg(16)->Arg(64);
 
+// The engine's SINR memo at the densest Fig. 9 point: 14 transmitters on
+// 13 sub-bands, one receiver, fading on, every query in one coherence
+// block. One iteration is one epoch: build, seal, query all 13 sub-bands.
+// Arg 0: every epoch repeats the same lists, so all 13 queries hit.
+// Arg 1: every epoch brings new list content (one transmitter's power
+// share changes), so the lists are interned anew and all 13 queries miss
+// into the per-link path.
+void BM_ImapSinrDbSteady(benchmark::State& state) {
+  EngineBenchWorld w(14, /*fading=*/true);
+  const bool new_lists = state.range(0) != 0;
+  state.SetLabel(new_lists ? "new_lists" : "repeated_lists");
+  double epoch = 0.0;
+  for (auto _ : state) {
+    epoch += 1.0;
+    w.imap.BeginEpoch(13, 360e3);
+    for (std::size_t i = 0; i < w.cells.size(); ++i) {
+      const double scale = (i == 0 && new_lists) ? 1.0 / (13.0 + epoch) : 1.0 / 13.0;
+      for (int s = 0; s < 13; ++s) w.imap.AddTransmitter(s, w.cells[i], scale);
+    }
+    for (int s = 0; s < 13; ++s) {
+      benchmark::DoNotOptimize(w.imap.SinrDb(w.tx, w.rx, s, 0, 1.0 / 13.0));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 13);
+}
+BENCHMARK(BM_ImapSinrDbSteady)->Arg(0)->Arg(1);
+
 void BM_SinrPerLinkLegacy(benchmark::State& state) {
   // What the engine replaces: rebuild the interferer vector and pay the
   // per-link summation on every query (the legacy subframe inner loop).

@@ -659,10 +659,11 @@ void LteNetwork::RunDownlinkSubframe() {
     });
 
     // Serial commit, global cell-index order.
+    std::vector<double>& served_bits = served_bits_scratch_;
     for (std::size_t c = 0; c < cells_.size(); ++c) {
       CellRec& rec = cells_[c];
       if (!rec.plan_is_data) continue;
-      std::vector<double> served_bits(rec.mac->ues().size(), 0.0);
+      served_bits.assign(rec.mac->ues().size(), 0.0);
       for (std::size_t i = 0; i < rec.current_plan.transmissions.size(); ++i) {
         const Transmission& tx = rec.current_plan.transmissions[i];
         const UeInfo& info = ues_[static_cast<std::size_t>(tx.ue)];
@@ -891,6 +892,7 @@ void LteNetwork::RunUplinkSubframe() {
 
 void LteNetwork::GenerateCqiReports() {
   const bool staged = config_.use_interference_engine;
+  if (cqi_measurers_.size() != ues_.size()) cqi_measurers_.resize(ues_.size());
   if (staged) {
     // Parallel stage: the expensive per-subchannel measurement, computed by
     // the shard owning each UE's serving cell (receiver ownership again —
@@ -924,35 +926,24 @@ void LteNetwork::GenerateCqiReports() {
     UeContext* ctx = cell(info.serving).FindUe(info.id);
     if (ctx == nullptr) continue;
 
-    const double margin = cell(info.serving).config().link_adaptation_margin_db;
+    const LteMacConfig& cell_config = cell(info.serving).config();
     std::vector<double> sinr_local;
     if (!staged) sinr_local = MeasureDownlinkSinr(info.id);
     const std::vector<double>& sinr =
         staged ? staged_cqi_sinr_[static_cast<std::size_t>(info.id)] : sinr_local;
-    CqiMeasurement m;
-    m.subband_cqi.reserve(sinr.size());
-    double wideband_linear = 0.0;
-    for (double s : sinr) {
-      m.subband_cqi.push_back(SinrToCqi(s + margin));
-      wideband_linear += DbToLinear(s);
-    }
-    wideband_linear /= static_cast<double>(sinr.size());
-    m.wideband_cqi = SinrToCqi(LinearToDb(wideband_linear) + margin);
+    const CqiMeasurer::Result& cqi =
+        cqi_measurers_[static_cast<std::size_t>(info.id)].Measure(
+            sinr, cell_config.link_adaptation_margin_db,
+            cell_config.use_mode30_wire_format);
     if (obs::MetricsRegistry* mr = obs::ActiveMetrics()) {
       mr->Observe(mr->Histogram("lte.wideband_sinr_db", obs::SinrDbBounds()),
-                  LinearToDb(wideband_linear));
+                  cqi.wideband_sinr_db);
     }
-
-    CqiMeasurement decoded = m;
-    if (cell(info.serving).config().use_mode30_wire_format) {
-      // Literal wire format: the 2-bit differential clamp applies.
-      decoded = DecodeMode30(EncodeMode30(m));
-    }
-    ctx->UpdateCqi(decoded.wideband_cqi, decoded.subband_cqi);
-    if (on_cqi_report) on_cqi_report(info.serving, info.id, decoded);
+    ctx->UpdateCqi(cqi.decoded.wideband_cqi, cqi.decoded.subband_cqi);
+    if (on_cqi_report) on_cqi_report(info.serving, info.id, cqi.decoded);
 
     // Radio-link failure: sustained out-of-range CQI.
-    if (m.wideband_cqi == 0) {
+    if (cqi.wideband_cqi == 0) {
       if (info.bad_cqi_since < 0) info.bad_cqi_since = sim_.Now();
       if (sim_.Now() - info.bad_cqi_since >= config_.rlf.rlf_window) {
         Detach(info.id, /*count_disconnection=*/true);

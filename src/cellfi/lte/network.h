@@ -194,6 +194,10 @@ class LteNetwork {
   std::uint64_t interference_culled_last_subframe() const {
     return imap_.culled_this_epoch();
   }
+  /// The engine's SINR memo hits and misses (DESIGN.md §20).
+  InterferenceMap::SinrMemoStats sinr_memo_stats() const {
+    return imap_.sinr_memo_stats();
+  }
 
   /// Resolved shard partition size / worker threads (1 before the first
   /// subframe builds the shard state). Test/bench introspection.
@@ -330,6 +334,9 @@ class LteNetwork {
   std::vector<std::vector<ActiveTransmitter>> shard_scratch_;
   std::vector<std::uint8_t> cqi_pending_;             // UEs reporting this round
   std::vector<std::vector<double>> staged_cqi_sinr_;  // per UE
+  std::vector<CqiMeasurer> cqi_measurers_;            // per UE
+  /// Downlink serial commit: per-cell served bits, reused across cells.
+  std::vector<double> served_bits_scratch_;
 };
 
 }  // namespace cellfi::lte

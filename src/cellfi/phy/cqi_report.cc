@@ -1,7 +1,10 @@
 #include "cellfi/phy/cqi_report.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
+#include "cellfi/common/units.h"
 #include "cellfi/phy/cqi_mcs.h"
 
 namespace cellfi {
@@ -49,6 +52,34 @@ int PayloadBits(const Mode30Report& r) {
 
 double SignallingOverheadBps(int payload_bits, double period_ms) {
   return static_cast<double>(payload_bits) / (period_ms * 1e-3);
+}
+
+const CqiMeasurer::Result& CqiMeasurer::Measure(const std::vector<double>& sinr_db,
+                                                 double margin_db,
+                                                 bool mode30_wire_format) {
+  if (valid_ && sinr_db.size() == sinr_db_.size() &&
+      std::memcmp(sinr_db.data(), sinr_db_.data(), sinr_db.size() * sizeof(double)) == 0 &&
+      std::bit_cast<std::uint64_t>(margin_db) == std::bit_cast<std::uint64_t>(margin_db_) &&
+      mode30_wire_format == mode30_) {
+    return result_;
+  }
+  valid_ = true;
+  sinr_db_ = sinr_db;
+  margin_db_ = margin_db;
+  mode30_ = mode30_wire_format;
+  CqiMeasurement& m = result_.decoded;
+  m.subband_cqi.clear();
+  double wideband_linear = 0.0;
+  for (double s : sinr_db) {
+    m.subband_cqi.push_back(SinrToCqi(s + margin_db));
+    wideband_linear += DbToLinear(s);
+  }
+  wideband_linear /= static_cast<double>(sinr_db.size());
+  result_.wideband_sinr_db = LinearToDb(wideband_linear);
+  m.wideband_cqi = SinrToCqi(result_.wideband_sinr_db + margin_db);
+  result_.wideband_cqi = m.wideband_cqi;
+  if (mode30_wire_format) m = DecodeMode30(EncodeMode30(m));
+  return result_;
 }
 
 }  // namespace cellfi

@@ -41,4 +41,31 @@ int PayloadBits(const Mode30Report& r);
 /// `period_ms` milliseconds.
 double SignallingOverheadBps(int payload_bits, double period_ms);
 
+/// One client's CQI measurement from its per-subchannel SINRs (dB):
+/// sub-band CQI = SinrToCqi(sinr + margin), wideband CQI from the mean
+/// linear SINR, optionally passed through the literal mode 3-0 wire format
+/// (whose 2-bit differential clamp then applies). The result is a pure
+/// function of (SINRs, margin, wire format), and within a fading block the
+/// SINRs repeat until some transmit pattern changes, so Measure() replays
+/// its previous result when all three inputs are bit-equal (DESIGN.md §20).
+class CqiMeasurer {
+ public:
+  struct Result {
+    CqiMeasurement decoded;         // what the eNodeB receives
+    int wideband_cqi = 0;           // measured, before any wire-format clamp
+    double wideband_sinr_db = 0.0;  // of the mean linear SINR
+  };
+
+  /// The measurement of `sinr_db`; valid until the next call.
+  const Result& Measure(const std::vector<double>& sinr_db, double margin_db,
+                        bool mode30_wire_format);
+
+ private:
+  bool valid_ = false;
+  std::vector<double> sinr_db_;
+  double margin_db_ = 0.0;
+  bool mode30_ = false;
+  Result result_;
+};
+
 }  // namespace cellfi

@@ -1,5 +1,6 @@
 #include "cellfi/radio/interference.h"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -11,13 +12,28 @@ namespace cellfi {
 
 namespace {
 
+// Exact content equality, bit for bit, so that equal lists are
+// interchangeable inputs to every SINR computation.
 bool SameList(const std::vector<ActiveTransmitter>& a,
               const std::vector<ActiveTransmitter>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].node != b[i].node || a[i].power_scale != b[i].power_scale) return false;
+    if (a[i].node != b[i].node || std::bit_cast<std::uint64_t>(a[i].power_scale) !=
+                                      std::bit_cast<std::uint64_t>(b[i].power_scale)) {
+      return false;
+    }
   }
   return true;
+}
+
+std::uint64_t HashList(const std::vector<ActiveTransmitter>& list) {
+  std::uint64_t h = list.size();
+  for (const ActiveTransmitter& t : list) {
+    h = (h ^ t.node) * 0x9E3779B97F4A7C15ull;
+    h = (h ^ std::bit_cast<std::uint64_t>(t.power_scale)) * 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 31;
+  }
+  return h;
 }
 
 }  // namespace
@@ -70,21 +86,23 @@ void InterferenceMap::AddTransmitter(int subchannel, RadioNodeId node,
 void InterferenceMap::Seal() const {
   if (sealed_) return;
   sealed_ = true;
+  // Subchannels with the same interned id have the same list, so they
+  // share one aggregation group.
+  list_id_.resize(static_cast<std::size_t>(num_subchannels_));
   group_of_.assign(static_cast<std::size_t>(num_subchannels_), 0);
   group_rep_.clear();
   num_groups_ = 0;
   for (int s = 0; s < num_subchannels_; ++s) {
-    int group = -1;
-    for (int g = 0; g < num_groups_; ++g) {
-      if (SameList(per_subchannel_[static_cast<std::size_t>(s)],
-                   per_subchannel_[static_cast<std::size_t>(group_rep_[
-                       static_cast<std::size_t>(g)])])) {
-        group = g;
-        break;
-      }
+    const std::uint64_t id = Intern(per_subchannel_[static_cast<std::size_t>(s)]);
+    list_id_[static_cast<std::size_t>(s)] = id;
+    int group = 0;
+    while (group < num_groups_ &&
+           list_id_[static_cast<std::size_t>(group_rep_[static_cast<std::size_t>(group)])] !=
+               id) {
+      ++group;
     }
-    if (group < 0) {
-      group = num_groups_++;
+    if (group == num_groups_) {
+      ++num_groups_;
       group_rep_.push_back(s);
     }
     group_of_[static_cast<std::size_t>(s)] = group;
@@ -111,6 +129,17 @@ void InterferenceMap::Seal() const {
   // queries never see a resize — each worker then only writes the rows of
   // receivers it owns.
   if (rows_.size() < env_.node_count()) rows_.resize(env_.node_count());
+}
+
+std::uint64_t InterferenceMap::Intern(
+    const std::vector<ActiveTransmitter>& list) const {
+  const std::uint64_t hash = HashList(list);
+  const auto [first, last] = interned_.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (SameList(it->second.list, list)) return it->second.id;
+  }
+  if (interned_.size() >= kInternCapacity) interned_.clear();
+  return interned_.emplace(hash, InternedList{next_list_id_++, list})->second.id;
 }
 
 double InterferenceMap::AggregateDenomMw(RadioNodeId tx, RadioNodeId rx,
@@ -159,6 +188,55 @@ double InterferenceMap::SinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
                                std::vector<ActiveTransmitter>* scratch) const {
   assert(subchannel >= 0 && subchannel < num_subchannels_);
   Seal();
+  // The cull's drop counters are observable, so a culled query always runs.
+  if (cull_scale_ > 0.0) {
+    return ComputeSinrDb(tx, rx, subchannel, now, signal_scale, scratch);
+  }
+  if (rows_.size() < env_.node_count()) rows_.resize(env_.node_count());
+  ReceiverRow& row = rows_[rx];
+  if (row.sinr_memo.size() < static_cast<std::size_t>(num_subchannels_)) {
+    row.sinr_memo.resize(static_cast<std::size_t>(num_subchannels_));
+  }
+  // Every input the computation reads: the list content (id), the signal
+  // source, fading (block), the mean-power row (position epoch), the
+  // signal share and the noise bandwidth. rx and subchannel pick the slot.
+  const SinrSlot key{
+      .list_id = list_id_[static_cast<std::size_t>(subchannel)],
+      .block = env_.config().enable_fading ? env_.fading().BlockIndex(now) : 0,
+      .position_epoch = env_.position_epoch(),
+      .signal_scale_bits = std::bit_cast<std::uint64_t>(signal_scale),
+      .bandwidth_bits = std::bit_cast<std::uint64_t>(bandwidth_hz_),
+      .tx = tx,
+  };
+  SinrSlot& slot = row.sinr_memo[static_cast<std::size_t>(subchannel)];
+  if (slot.list_id == key.list_id && slot.block == key.block &&
+      slot.position_epoch == key.position_epoch &&
+      slot.signal_scale_bits == key.signal_scale_bits &&
+      slot.bandwidth_bits == key.bandwidth_bits && slot.tx == key.tx) {
+    ++row.memo_hits;
+    return slot.sinr_db;
+  }
+  ++row.memo_misses;
+  // `slot` stays valid: rows_ already covers node_count(), so
+  // ComputeSinrDb does not resize it.
+  const double sinr_db = ComputeSinrDb(tx, rx, subchannel, now, signal_scale, scratch);
+  slot = key;
+  slot.sinr_db = sinr_db;
+  return sinr_db;
+}
+
+InterferenceMap::SinrMemoStats InterferenceMap::sinr_memo_stats() const {
+  SinrMemoStats stats;
+  for (const ReceiverRow& row : rows_) {
+    stats.hits += row.memo_hits;
+    stats.misses += row.memo_misses;
+  }
+  return stats;
+}
+
+double InterferenceMap::ComputeSinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
+                                      SimTime now, double signal_scale,
+                                      std::vector<ActiveTransmitter>* scratch) const {
   const std::vector<ActiveTransmitter>& list =
       per_subchannel_[static_cast<std::size_t>(subchannel)];
 

@@ -21,13 +21,18 @@
 // i mod 8, fixed lane-combine tree; here via simd::BlockedSum8 over a
 // compacted structure-of-arrays term row, in the per-link path via inline
 // lanes) — the same floating-point addition sequence, hence identical
-// values, in scalar and SIMD builds alike. Subchannels whose transmitter
-// lists compare equal share one aggregation (identical addition sequence,
-// hence identical value).
+// values, in scalar and SIMD builds alike. Seal() interns every
+// subchannel's list by content: equal lists get the same 64-bit id, in
+// this epoch and in every later one. Subchannels that share an id share
+// one aggregation (identical addition sequence, hence identical value),
+// and with the cull off each receiver memoizes its last SINR per
+// subchannel under a key that holds every input of the computation
+// (DESIGN.md §20), so a hit replays the exact double.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "cellfi/common/time.h"
@@ -61,8 +66,9 @@ class InterferenceMap {
   /// sealed aggregation groups would no longer describe the lists.
   void AddTransmitter(int subchannel, RadioNodeId node, double power_scale);
 
-  /// Deduplicate per-subchannel lists into aggregation groups and presize
-  /// the receiver rows. Idempotent within an epoch. Serial callers may let
+  /// Intern each per-subchannel list by content, group subchannels that
+  /// share an id for aggregation, and presize the receiver rows.
+  /// Idempotent within an epoch. Serial callers may let
   /// the first SinrDb of the epoch invoke it lazily; sharded callers MUST
   /// call it at the barrier, before the first concurrent query, so no
   /// worker mutates shared group/row storage.
@@ -77,6 +83,12 @@ class InterferenceMap {
   /// With fading enabled the mean-power aggregate would be wrong — the
   /// per-subchannel fading term cannot be pre-aggregated — so the query
   /// falls back to per-link summation over the shared list.
+  ///
+  /// With the cull off, either path runs only on a miss of the receiver's
+  /// SINR memo: one slot per subchannel, keyed by (list id, tx, fading
+  /// block, position epoch, signal_scale, bandwidth) — every input the
+  /// computation reads — so a hit returns the bit-identical double
+  /// (DESIGN.md §20).
   ///
   /// Thread safety (DESIGN.md §15): after a serial Seal(), concurrent
   /// SinrDb calls are safe as long as no two threads query the same
@@ -122,7 +134,37 @@ class InterferenceMap {
     return culled_total_.load(std::memory_order_relaxed);
   }
 
+  /// SINR memo hits and misses since construction, summed over receivers.
+  /// Serial only: the counts live in the receiver-owned rows.
+  struct SinrMemoStats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+  SinrMemoStats sinr_memo_stats() const;
+
+  /// Distinct lists the intern table holds before it is emptied. Ids are
+  /// never reused, so emptying it only costs misses, never a wrong hit.
+  static constexpr std::size_t kInternCapacity = 256;
+
  private:
+  /// One receiver's last SINR on one subchannel and the inputs it was
+  /// computed from. list_id 0 marks an empty slot (interned ids start at 1).
+  struct SinrSlot {
+    std::uint64_t list_id = 0;
+    std::uint64_t block = 0;  // fading block; 0 with fading off
+    std::uint64_t position_epoch = 0;
+    std::uint64_t signal_scale_bits = 0;
+    std::uint64_t bandwidth_bits = 0;
+    RadioNodeId tx = 0;
+    double sinr_db = 0.0;
+  };
+
+  /// An interned transmitter list and its id.
+  struct InternedList {
+    std::uint64_t id = 0;
+    std::vector<ActiveTransmitter> list;
+  };
+
   /// Per-receiver cache of aggregate denominators, one slot per
   /// aggregation group. A row is valid for one (epoch, excluded
   /// transmitter, mobility stamp) combination; its group slots fill
@@ -137,6 +179,12 @@ class InterferenceMap {
     /// Receiver-owned, so concurrent queries of distinct receivers never
     /// share it (same ownership rule as the row itself).
     std::vector<double> terms;
+    /// SINR memo, one slot per subchannel, kept across epochs; sized on
+    /// the receiver's first query. Plain counters: the row is
+    /// receiver-owned.
+    std::vector<SinrSlot> sinr_memo;
+    std::uint64_t memo_hits = 0;
+    std::uint64_t memo_misses = 0;
   };
 
   /// Structure-of-arrays view of one aggregation group's transmitter list
@@ -154,6 +202,14 @@ class InterferenceMap {
   // cellfi-purity: contract-root(imap-sealed-read) InterferenceMap::AggregateDenomMw
   double AggregateDenomMw(RadioNodeId tx, RadioNodeId rx, int group,
                           std::vector<double>& terms) const;
+  /// The unmemoized SINR: the per-link path with fading on (through the
+  /// cull when enabled), the receiver's aggregate row with it off.
+  double ComputeSinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel, SimTime now,
+                       double signal_scale,
+                       std::vector<ActiveTransmitter>* scratch) const;
+  /// The id of `list`'s content: found by hash and confirmed by an exact
+  /// compare, or freshly assigned. Serial (called from Seal()).
+  std::uint64_t Intern(const std::vector<ActiveTransmitter>& list) const;
   /// The graph-vs-cull equivalence only holds when the graph describes the
   /// current geometry and floor; recomputed each BeginEpoch.
   bool GraphMatchesEpoch() const;
@@ -171,8 +227,12 @@ class InterferenceMap {
 
   mutable bool sealed_ = false;
   mutable int num_groups_ = 0;
+  mutable std::vector<std::uint64_t> list_id_;  // subchannel -> interned id
   mutable std::vector<int> group_of_;   // subchannel -> aggregation group
   mutable std::vector<int> group_rep_;  // group -> representative subchannel
+  /// Content-hash -> interned lists; emptied at kInternCapacity entries.
+  mutable std::unordered_multimap<std::uint64_t, InternedList> interned_;
+  mutable std::uint64_t next_list_id_ = 1;
   mutable std::vector<GroupTerms> group_terms_;  // group -> SoA term row
   mutable std::vector<ReceiverRow> rows_;
   mutable std::vector<ActiveTransmitter> cull_scratch_;

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "cellfi/common/rng.h"
 #include "cellfi/common/stats.h"
+#include "cellfi/common/units.h"
 #include "cellfi/phy/cqi_mcs.h"
 #include "cellfi/phy/cqi_report.h"
 #include "cellfi/phy/harq.h"
@@ -214,6 +218,82 @@ TEST(CqiReportTest, OverheadMatchesPaperOrder) {
   const double bps = SignallingOverheadBps(30, 2.0);
   EXPECT_NEAR(bps, 15000.0, 1e-9);
   EXPECT_NEAR(SignallingOverheadBps(20, 2.0), 10000.0, 1e-9);
+}
+
+// The CqiMeasurer formula written out independently: sub-band CQI from
+// SINR + margin, wideband CQI from the mean linear SINR, then the optional
+// mode 3-0 round trip.
+struct ReferenceCqi {
+  CqiMeasurement decoded;
+  int wideband_cqi = 0;
+  double wideband_sinr_db = 0.0;
+};
+
+ReferenceCqi MeasureReference(const std::vector<double>& sinr, double margin, bool mode30) {
+  ReferenceCqi r;
+  double linear = 0.0;
+  for (double s : sinr) {
+    r.decoded.subband_cqi.push_back(SinrToCqi(s + margin));
+    linear += DbToLinear(s);
+  }
+  r.wideband_sinr_db = LinearToDb(linear / static_cast<double>(sinr.size()));
+  r.decoded.wideband_cqi = SinrToCqi(r.wideband_sinr_db + margin);
+  r.wideband_cqi = r.decoded.wideband_cqi;
+  if (mode30) r.decoded = DecodeMode30(EncodeMode30(r.decoded));
+  return r;
+}
+
+TEST(CqiMeasurerTest, MatchesFormulaAcrossRepeatsAndEveryInputChange) {
+  // A stream that repeats each input, then changes one of them: the SINR
+  // vector (by one ulp, or only its sign of zero, or its length), the
+  // margin alone, or the wire format alone.
+  Rng rng(12);
+  std::vector<double> sinr(13);
+  for (double& s : sinr) s = rng.Uniform(-10.0, 25.0);
+  double margin = 3.0;
+  bool mode30 = false;
+  CqiMeasurer measurer;
+  auto check = [&](const char* what) {
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      const CqiMeasurer::Result& got = measurer.Measure(sinr, margin, mode30);
+      const ReferenceCqi want = MeasureReference(sinr, margin, mode30);
+      EXPECT_EQ(got.decoded.wideband_cqi, want.decoded.wideband_cqi) << what;
+      EXPECT_EQ(got.decoded.subband_cqi, want.decoded.subband_cqi) << what;
+      EXPECT_EQ(got.wideband_cqi, want.wideband_cqi) << what;
+      EXPECT_EQ(got.wideband_sinr_db, want.wideband_sinr_db) << what;
+    }
+  };
+  check("first");
+  margin = 0.0;
+  check("margin only");
+  margin = -2.5;
+  check("margin only, again");
+  mode30 = true;
+  check("wire format only");
+  sinr[4] = std::nextafter(sinr[4], 100.0);
+  check("one ulp");
+  // Land one sub-band just below, then on, every CQI threshold.
+  for (int cqi = 1; cqi <= 15; ++cqi) {
+    const double t = CqiTable(cqi).sinr_threshold_db;
+    sinr[6] = std::nextafter(t - margin, -100.0);
+    check("just below a threshold");
+    sinr[6] = t - margin;
+    check("on a threshold");
+  }
+  sinr[2] = 0.0;
+  check("+0");
+  sinr[2] = -0.0;
+  check("-0");
+  mode30 = false;
+  check("wire format off");
+  sinr.resize(6);
+  check("fewer sub-bands");
+  for (int i = 0; i < 200; ++i) {
+    sinr[static_cast<std::size_t>(i) % sinr.size()] = rng.Uniform(-15.0, 30.0);
+    if (i % 7 == 0) margin = rng.Uniform(-3.0, 3.0);
+    if (i % 11 == 0) mode30 = !mode30;
+    check("random walk");
+  }
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #
 # Usage: tools/check.sh [--fast] [--bench] [--trace] [--chaos] [--shard]
 #                       [--simd] [--purity] [--traffic] [--perfbench]
-#                       [--static]
+#                       [--static] [--same-bytes <git-ref>]
 #   --fast   skip the sanitizer stage (inner-loop use; CI runs everything)
 #   --bench  additionally run the bench_smoke suite (1-rep end-to-end runs
 #            of every sweep bench, including the bench_scale bit-identity
@@ -57,6 +57,14 @@
 #            configure-only cmake step for compile_commands.json and no
 #            builds or sanitizers. Seconds, not minutes; the pre-push
 #            inner loop.
+#   --same-bytes <git-ref>
+#            run ONLY the same-bytes gate for a change that must not alter
+#            results: `git archive` <git-ref> into a temp dir, build
+#            cellfi_perfbench from perfbench/CMakeLists.txt for it and for
+#            the working tree (Release, into build dirs outside perfbench/),
+#            run both workloads (fig9_cellfi, users_agg) at seeds 1 and 97
+#            with each binary, and fail if any `outcome` string differs.
+#            A few minutes: two library builds plus eight replications.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -72,7 +80,10 @@ PURITY=0
 TRAFFIC=0
 PERFBENCH=0
 STATIC=0
-for arg in "$@"; do
+SAME_BYTES_REF=""
+while [[ $# -gt 0 ]]; do
+  arg="$1"
+  shift
   case "$arg" in
     --fast) FAST=1 ;;
     --bench) BENCH=1 ;;
@@ -84,11 +95,62 @@ for arg in "$@"; do
     --traffic) TRAFFIC=1 ;;
     --perfbench) PERFBENCH=1 ;;
     --static) STATIC=1 ;;
+    --same-bytes)
+      if [[ $# -eq 0 ]]; then
+        echo "check.sh: --same-bytes needs a git ref" >&2
+        exit 2
+      fi
+      SAME_BYTES_REF="$1"
+      shift
+      ;;
     *) echo "check.sh: unknown argument '$arg'" >&2; exit 2 ;;
   esac
 done
 
 step() { printf '\n=== check.sh: %s ===\n' "$*"; }
+
+if [[ -n "$SAME_BYTES_REF" ]]; then
+  ref_sha="$(git rev-parse --verify "$SAME_BYTES_REF^{commit}")"
+  ref_dir="$(mktemp -d)"
+  trap 'rm -rf "$ref_dir"' EXIT
+
+  step "same-bytes: build cellfi_perfbench at $SAME_BYTES_REF ($ref_sha)"
+  mkdir -p "$ref_dir/src"
+  git archive "$ref_sha" | tar -x -C "$ref_dir/src"
+  cmake -S "$ref_dir/src/perfbench" -B "$ref_dir/build" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$ref_dir/build" -j "$(nproc)" --target cellfi_perfbench
+
+  step "same-bytes: build cellfi_perfbench from the working tree"
+  tree_build="$ROOT/build-same-bytes"
+  cmake -S "$ROOT/perfbench" -B "$tree_build" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$tree_build" -j "$(nproc)" --target cellfi_perfbench
+
+  step "same-bytes: outcome JSON, $SAME_BYTES_REF vs working tree"
+  mismatches=0
+  for workload in fig9_cellfi users_agg; do
+    for seed in 1 97; do
+      "$ref_dir/build/cellfi_perfbench" "$workload" "$seed" 0 > "$ref_dir/ref.json"
+      "$tree_build/cellfi_perfbench" "$workload" "$seed" 0 > "$ref_dir/tree.json"
+      if python3 - "$ref_dir/ref.json" "$ref_dir/tree.json" <<'PY'
+import json, sys
+ref, tree = (json.loads(open(p).read().strip().splitlines()[-1]) for p in sys.argv[1:3])
+sys.exit(0 if ref["outcome"] == tree["outcome"] else 1)
+PY
+      then
+        echo "$workload seed $seed: identical"
+      else
+        echo "$workload seed $seed: OUTCOME DIFFERS" >&2
+        mismatches=$((mismatches + 1))
+      fi
+    done
+  done
+  if [[ "$mismatches" -ne 0 ]]; then
+    echo "check.sh: $mismatches outcome(s) differ from $SAME_BYTES_REF" >&2
+    exit 1
+  fi
+  step "same-bytes gate passed"
+  exit 0
+fi
 
 if [[ "$STATIC" -eq 1 ]]; then
   step "configure only (check preset, for compile_commands.json)"
