@@ -2,9 +2,6 @@
 // (DESIGN.md §12) and the intra-replication shard layer (DESIGN.md §15):
 // plain-LTE backlogged scenarios at constant AP density, resolved over
 // identical topologies and seeds as —
-//   legacy         per-link interference summation (engine off; <= 64
-//                  cells only — it is quadratic and exists as the ground
-//                  truth for the bit-identity gate),
 //   engine         shared per-subchannel lists + cached aggregates,
 //                  shards=1 (label kept from PR 4 for baseline diffing),
 //   engine_sK      engine partitioned into K spatial shards, subframe
@@ -16,8 +13,7 @@
 //
 // Built-in bit-identity gate: every engine_sK summary must equal the
 // shards=1 engine summary to the last bit (fixed merge order makes the
-// shard count unobservable), and engine must equal legacy where legacy
-// runs. Any mismatch fails the bench.
+// shard count unobservable). Any mismatch fails the bench.
 //
 // The sweep runner is pinned to ONE thread so replication-level
 // parallelism does not absorb the cores the shard pool is being measured
@@ -69,10 +65,10 @@ ScenarioConfig ScaleConfig(int num_aps, std::uint64_t seed) {
   // with sqrt(n)) so per-cell interferer counts — not coverage geometry —
   // are what changes across the sweep. Fading is off: the aggregate-cache
   // fast path is what this bench characterizes, and the bit-identity
-  // checks stay meaningful either way (fading delegates to the identical
-  // per-link path). Sim durations shrink with cell count so the 1024-cell
-  // points stay runnable; every variant at one count shares the duration,
-  // so speedups are unaffected.
+  // checks stay meaningful either way (fading runs the same merge order
+  // through the engine's per-link fallback). Sim durations shrink with
+  // cell count so the 1024-cell points stay runnable; every variant at one
+  // count shares the duration, so speedups are unaffected.
   ScenarioConfig cfg = BaseConfig(Technology::kLte, num_aps, 3, seed);
   cfg.topology.area_m = 500.0 * std::sqrt(static_cast<double>(num_aps));
   cfg.enable_fading = false;
@@ -102,17 +98,13 @@ bool SameResult(const ScenarioResult& a, const ScenarioResult& b) {
 
 struct Variant {
   std::string name;
-  bool engine = true;
   double floor_db = 0.0;
   int shards = 1;
   bool identity_reference = false;  // the shards=1 engine run others diff against
 };
 
-std::vector<Variant> VariantsFor(int cells, const std::vector<int>& shard_counts) {
+std::vector<Variant> Variants(const std::vector<int>& shard_counts) {
   std::vector<Variant> v;
-  if (cells <= 64) {
-    v.push_back(Variant{.name = "legacy", .engine = false});
-  }
   v.push_back(Variant{.name = "engine", .identity_reference = true});
   for (int k : shard_counts) {
     if (k <= 1) continue;
@@ -128,7 +120,7 @@ int main() {
   std::cout << "CellFi reproduction -- interference-engine + shard scaling bench\n";
   std::cout << "hardware threads: " << cellfi::HardwareConcurrency() << "\n\n";
   const std::vector<int> counts = CellCounts();
-  const std::vector<int> shard_counts = ShardCounts();
+  const std::vector<Variant> variants = Variants(ShardCounts());
   const int reps = Reps(1);
 
   // One sweep thread: the shard pool inside each replication is what this
@@ -147,7 +139,6 @@ int main() {
   std::vector<PointInfo> points;
   std::vector<Replication> jobs;
   for (std::size_t ci = 0; ci < counts.size(); ++ci) {
-    const std::vector<Variant> variants = VariantsFor(counts[ci], shard_counts);
     const int first_point = static_cast<int>(points.size());
     for (const Variant& v : variants) {
       points.push_back(PointInfo{counts[ci], v});
@@ -159,7 +150,6 @@ int main() {
           GenerateTopology(ScaleConfig(counts[ci], seed).topology, rng));
       for (std::size_t vi = 0; vi < variants.size(); ++vi) {
         ScenarioConfig cfg = ScaleConfig(counts[ci], seed);
-        cfg.use_interference_engine = variants[vi].engine;
         cfg.interference_floor_db = variants[vi].floor_db;
         cfg.shards = variants[vi].shards;
         jobs.push_back(Replication{
@@ -178,11 +168,9 @@ int main() {
     return nullptr;
   };
 
-  // Bit-identity gate. Two invariants, checked per (cell count, rep):
-  //   1. engine (shards=1, cull off) == legacy — the PR 4 contract;
-  //   2. engine_sK == engine for every K — the shard-layer contract: merge
-  //      order is fixed at the barrier, so the shard count is unobservable
-  //      in the results.
+  // Bit-identity gate, per (cell count, rep): engine_sK == engine for
+  // every K — the shard-layer contract: merge order is fixed at the
+  // barrier, so the shard count is unobservable in the results.
   for (int p = 0; p < static_cast<int>(points.size()); ++p) {
     if (!points[static_cast<std::size_t>(p)].variant.identity_reference) continue;
     const int cells = points[static_cast<std::size_t>(p)].cells;
@@ -204,20 +192,11 @@ int main() {
       }
     }
   }
-  std::cout << "Bit-identity check: every shard count (and legacy) matches "
+  std::cout << "Bit-identity check: every shard count matches "
                "engine shards=1 at every cell count\n\n";
 
   std::vector<std::string> header{"cells"};
-  const std::vector<Variant> widest = VariantsFor(counts.empty() ? 4 : counts.front(),
-                                                  shard_counts);
-  // Column set from the largest variant list (small counts add "legacy").
-  std::vector<std::string> column_names;
-  for (const PointInfo& info : points) {
-    bool seen = false;
-    for (const std::string& n : column_names) seen |= n == info.variant.name;
-    if (!seen) column_names.push_back(info.variant.name);
-  }
-  for (const std::string& n : column_names) header.push_back(n + " s");
+  for (const Variant& v : variants) header.push_back(v.name + " s");
   header.push_back("s4 speedup");
   Table t(header);
 
@@ -226,19 +205,18 @@ int main() {
     std::vector<std::string> row{std::to_string(cells)};
     double engine_wall = 0.0;
     double s4_wall = 0.0;
-    for (const std::string& name : column_names) {
+    for (const Variant& v : variants) {
+      const std::string& name = v.name;
       double wall = 0.0;
-      bool present = false;
       for (int p = 0; p < static_cast<int>(points.size()); ++p) {
         const PointInfo& info = points[static_cast<std::size_t>(p)];
         if (info.cells != cells || info.variant.name != name) continue;
-        present = true;
         for (const ReplicationOutcome& o : outcomes) {
           if (o.point == p) wall += o.wall_seconds;
         }
         report.AddPoint("cells=" + std::to_string(cells) + "/" + name, outcomes, p);
       }
-      row.push_back(present ? Table::Num(wall, 2) : "-");
+      row.push_back(Table::Num(wall, 2));
       if (name == "engine") engine_wall = wall;
       if (name == "engine_s4") s4_wall = wall;
     }

@@ -92,13 +92,12 @@ struct LteNetworkConfig {
   bool enable_handover = true;
   double handover_hysteresis_db = 3.0;
   SimTime handover_check_period = 200 * kMillisecond;
-  /// Resolve subframes through the per-epoch interference engine
-  /// (InterferenceMap, DESIGN.md §12): per-subchannel transmitter lists
-  /// are built once per subframe and shared by every receiver, aggregate
-  /// denominators and the idle-CRS penalty are cached. Bit-identical to
-  /// the legacy per-link path (which `false` restores — kept for the
-  /// regression test and the bench_scale comparison) as long as
-  /// RadioEnvironmentConfig::interference_floor_db is off.
+  /// Checked input, not a switch: subframes always resolve through the
+  /// per-epoch interference engine (InterferenceMap, DESIGN.md §12), and
+  /// the constructor throws std::invalid_argument when this is `false`.
+  /// Nothing branches on it. It stays declared only because the
+  /// benchmark's copy of scenario::RunLteBased still assigns it, and goes
+  /// away together with that copy (ROADMAP.md, "One scenario assembly").
   bool use_interference_engine = true;
   /// Intra-replication spatial sharding (DESIGN.md §15). Partition the
   /// cell grid into this many spatially contiguous shards and compute each
@@ -108,8 +107,7 @@ struct LteNetworkConfig {
   /// runs serially at the subframe barrier in global cell-index order.
   /// Results are bit-identical for ANY value, including 1 — the shard
   /// count only decides which thread computes a value, never the order
-  /// values are merged in. Requires use_interference_engine; the legacy
-  /// per-link path stays single-threaded.
+  /// values are merged in.
   int shards = 1;
   /// Worker threads for the shard pool. 0 derives a default:
   /// CELLFI_SHARD_THREADS env if set, else hardware concurrency divided by
@@ -123,7 +121,8 @@ struct LteNetworkConfig {
 class LteNetwork {
  public:
   /// `env` must outlive the network; all cells must share one TDD config
-  /// (GPS-synchronized frames, as CellFi requires).
+  /// (GPS-synchronized frames, as CellFi requires). Throws
+  /// std::invalid_argument when config.use_interference_engine is false.
   LteNetwork(Simulator& sim, RadioEnvironment& env, LteNetworkConfig config);
 
   // --- Topology ---------------------------------------------------------------
@@ -141,6 +140,14 @@ class LteNetwork {
   /// style scripted interferers).
   void SetCellActive(CellId id, bool active);
   bool cell_active(CellId id) const { return cells_[static_cast<std::size_t>(id)].active; }
+  /// The downlink plan a cell committed in the current subframe, or nullptr
+  /// when it sends no downlink data (no load, LBT-gated, or the last data
+  /// subframe was uplink). The engine's downlink lists hold every active
+  /// cell's plan (test reference hook).
+  const TxPlan* committed_downlink_plan(CellId id) const {
+    const CellRec& rec = cells_[static_cast<std::size_t>(id)];
+    return rec.plan_is_data ? &rec.current_plan : nullptr;
+  }
 
   // --- Traffic ----------------------------------------------------------------
   /// Offer downlink bytes for a UE (queued at its serving cell; dropped if
@@ -188,7 +195,7 @@ class LteNetwork {
 
   /// Interference terms dropped by the negligible-interferer cull
   /// (RadioEnvironmentConfig::interference_floor_db) — 0 unless the cull
-  /// is enabled and the engine is on.
+  /// is enabled.
   std::uint64_t interference_culled_total() const { return imap_.culled_total(); }
   /// Drops discovered while resolving the most recent subframe.
   std::uint64_t interference_culled_last_subframe() const {
@@ -227,10 +234,28 @@ class LteNetwork {
   /// LBT gate: may this cell transmit data in the current subframe?
   bool LbtMayTransmit(CellRec& rec);
 
+  // Both directions and the CQI pass run one sequence (DESIGN.md §15):
+  // serial reset -> parallel plan -> serial merge into the engine in
+  // cell-index order -> Seal -> parallel stage -> serial commit.
   void StepSubframe();
   void RunDownlinkSubframe();
   void RunUplinkSubframe();
   void GenerateCqiReports();
+  /// Serial subframe entry for both directions: build the shard state,
+  /// refresh the neighbor graph and clear every cell's plan.
+  void ResetPlans();
+  /// One transmission's link as its direction sees it.
+  struct StagedLink {
+    RadioNodeId source = 0;       // signal transmitter
+    RadioNodeId receiver = 0;
+    double signal_scale = 1.0;    // share of the source's power per subchannel
+    double crs_penalty_db = 0.0;  // idle-cell CRS coding penalty (downlink)
+  };
+  /// Parallel stage of both directions: per shard, the tb SINR of each of
+  /// its cells' planned transmissions into staged_tb_sinr_, against the
+  /// sealed engine lists. `link_of(cell, tx)` gives the StagedLink.
+  template <typename LinkOf>
+  void StageTransmissions(const LinkOf& link_of);
 
   // --- Intra-replication sharding (DESIGN.md §15) -------------------------------
   /// Build (once) the spatial partition, worker pool, neighbor graph and
@@ -263,26 +288,18 @@ class LteNetwork {
   void EmitPrach(UeId ue, CellId serving);
   CellId PickServingCell(UeId ue) const;
 
-  /// Interference contribution of every cell except `except` on
-  /// `subchannel` in the current DL subframe. Only cells actively sending
-  /// data on the subchannel contribute power; idle cells' always-on CRS is
-  /// modelled as a small coding penalty instead (see IdleCrsPenaltyDb).
-  void CollectDownlinkInterferers(CellId except, int subchannel,
-                                  std::vector<ActiveTransmitter>& out) const;
-
   /// Effective SINR penalty (dB) from idle neighbouring cells whose
   /// reference symbols puncture ~6 % of the victim's data REs. Measured in
   /// the paper's Fig. 7(b) as at most ~20 % goodput loss, i.e. a coding
   /// penalty of roughly 1 dB per strong idle interferer, capped at 2 dB.
-  /// With the engine on the value is served from a per-receiver cache
-  /// invalidated on serving-cell, cell-activity and mobility changes (it
-  /// depends only on the active set and mean powers, never on plans).
-  /// Queried from shard workers during staged measurement (DESIGN.md §16).
+  /// Only cells actively sending data on a subchannel add interference
+  /// power; the always-on CRS of every other active cell counts here.
+  /// Served from a per-receiver cache invalidated on serving-cell,
+  /// cell-activity and mobility changes (it depends only on the active set
+  /// and mean powers, never on plans). Queried from shard workers during
+  /// staged measurement (DESIGN.md §16).
   // cellfi-purity: contract-root(parallel-shard-phase) LteNetwork::IdleCrsPenaltyDb
   double IdleCrsPenaltyDb(CellId serving, RadioNodeId rx) const;
-  /// Uncached scan behind IdleCrsPenaltyDb (the legacy path calls it
-  /// directly every time).
-  double ComputeIdleCrsPenaltyDb(CellId serving, RadioNodeId rx) const;
 
   /// Rebuild the engine's downlink transmitter lists from the cells'
   /// committed plans. Runs after plan commit in RunDownlinkSubframe;

@@ -43,8 +43,9 @@ struct RadioEnvironmentConfig {
   /// (InterferenceMap): interferers whose mean rx power is at least this
   /// many dB below the receiver's noise floor are dropped from the
   /// precomputed interference lists. <= 0 disables the cull (the default:
-  /// every interferer counts and the engine is bit-identical to the
-  /// per-link path). See DESIGN.md §12 for when enabling it is safe.
+  /// every interferer counts and the engine is bit-identical to
+  /// RadioEnvironment::SinrDb over the same lists, its test reference).
+  /// See DESIGN.md §12 for when enabling it is safe.
   double interference_floor_db = 0.0;
   std::uint64_t seed = 1;
 };

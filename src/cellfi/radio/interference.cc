@@ -149,8 +149,8 @@ double InterferenceMap::AggregateDenomMw(RadioNodeId tx, RadioNodeId rx,
   // cached mean powers gathered in list order — compacted into `terms` and
   // summed in the fixed 8-lane blocked order (simd::BlockedSum8, DESIGN.md
   // §17). Keeping sequence and order identical is what makes the engine
-  // bit-identical to the per-link path when the cull is off, in scalar and
-  // SIMD builds alike.
+  // bit-identical to RadioEnvironment::SinrDb when the cull is off, in
+  // scalar and SIMD builds alike.
   const double noise_mw = env_.NoiseMw(rx, bandwidth_hz_);
   const double cull_floor_mw = noise_mw * cull_scale_;
   const GroupTerms& gt = group_terms_[static_cast<std::size_t>(group)];

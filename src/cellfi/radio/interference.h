@@ -1,12 +1,13 @@
-// Per-epoch interference engine (DESIGN.md §12).
+// Per-epoch interference engine (DESIGN.md §12) — the one resolver of
+// every LTE subframe's SINR.
 //
 // One map is (re)built once per decision epoch — an LTE subframe, after
 // every transmitter has committed its plan — and then answers every SINR
-// query of that epoch from shared precomputed state instead of rebuilding a
-// per-link interferer vector for each (receiver, subchannel):
+// query of that epoch from shared precomputed state:
 //
 //   * a per-subchannel list of active transmitters, appended in the
-//     caller's (deterministic) iteration order and shared by all receivers;
+//     caller's fixed iteration order (cell index -> transmission ->
+//     subchannel) and shared by all receivers;
 //   * with fading disabled, a per-receiver aggregate denominator (noise +
 //     mean interference power, mW) per distinct transmitter list, cached in
 //     a lazily built receiver row;
@@ -14,16 +15,16 @@
 //     (RadioEnvironmentConfig::interference_floor_db).
 //
 // Determinism contract: with culling off, SinrDb returns bit-identical
-// values to RadioEnvironment::SinrDb over the same interferer sequence.
-// Both paths gather contributing terms from the same receiver-major
-// rx-power cache rows in append order and accumulate them in the fixed
-// 8-lane blocked order of DESIGN.md §17 (contributing term i -> lane
-// i mod 8, fixed lane-combine tree; here via simd::BlockedSum8 over a
-// compacted structure-of-arrays term row, in the per-link path via inline
-// lanes) — the same floating-point addition sequence, hence identical
-// values, in scalar and SIMD builds alike. Seal() interns every
-// subchannel's list by content: equal lists get the same 64-bit id, in
-// this epoch and in every later one. Subchannels that share an id share
+// values to RadioEnvironment::SinrDb over the same interferer sequence,
+// which is what the tests use as the reference. Both gather contributing
+// terms from the same receiver-major rx-power cache rows in append order
+// and accumulate them in the fixed 8-lane blocked order of DESIGN.md §17
+// (contributing term i -> lane i mod 8, fixed lane-combine tree; here via
+// simd::BlockedSum8 over a compacted structure-of-arrays term row, in
+// RadioEnvironment::SinrDb via inline lanes) — the same floating-point
+// addition sequence, hence identical values, in scalar and SIMD builds
+// alike. Seal() interns every subchannel's list by content: equal lists
+// get the same 64-bit id, in this epoch and in every later one. Subchannels that share an id share
 // one aggregation (identical addition sequence, hence identical value),
 // and with the cull off each receiver memoizes its last SINR per
 // subchannel under a key that holds every input of the computation

@@ -80,17 +80,18 @@ struct ScenarioConfig {
   bool enable_fading = true;
   double shadowing_sigma_db = 6.0;
 
-  /// Resolve LTE subframes through the per-epoch interference engine
-  /// (DESIGN.md §12). `false` restores the legacy per-link path — kept for
-  /// the bit-identity regression test and the bench_scale comparison.
+  /// Checked input, copied to lte::LteNetworkConfig: LTE subframes always
+  /// resolve through the interference engine (DESIGN.md §12), and an
+  /// LTE-based run throws std::invalid_argument when this is `false`. It
+  /// goes away together with the benchmark's copy of RunLteBased.
   bool use_interference_engine = true;
   /// Negligible-interferer cull threshold (dB below the noise floor);
-  /// <= 0 keeps every interferer (exact legacy arithmetic).
+  /// <= 0 keeps every interferer (exact arithmetic).
   double interference_floor_db = 0.0;
   /// Intra-replication spatial shards (DESIGN.md §15): the LTE cell grid
   /// is partitioned into this many groups whose subframe work can run on
   /// the shard worker pool. Bit-identical results for any value; only wall
-  /// clock changes. Requires the interference engine.
+  /// clock changes.
   int shards = 1;
   /// Shard worker threads; 0 derives a default from CELLFI_SHARD_THREADS
   /// or hardware concurrency divided by active sweep workers.

@@ -1,15 +1,20 @@
 // The per-subframe interference engine's determinism contract (DESIGN.md
 // §12): with culling off, every path through InterferenceMap must be
-// BIT-identical to the legacy per-link summation — same doubles, not just
-// close — across fading on/off, cell activity toggles and mobility. The
-// negligible-interferer cull is opt-in and bounded: dropping terms >= 30 dB
-// below the noise floor moves any SINR by less than 0.01 dB.
+// BIT-identical to RadioEnvironment::SinrDb over the same interferer lists
+// — same doubles, not just close — across fading on/off, cell activity
+// toggles and mobility. The negligible-interferer cull is opt-in and
+// bounded: dropping terms >= 30 dB below the noise floor moves any SINR by
+// less than 0.01 dB.
 #include "cellfi/radio/interference.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -60,17 +65,17 @@ TEST_P(InterferenceMapTest, MatchesPerLinkSinrExactly) {
   imap.BeginEpoch(13, 360e3);
   // The signal source itself is in the lists (as in a real subframe) and
   // must be excluded at query time exactly as env::SinrDb does.
-  std::vector<ActiveTransmitter> legacy;
-  legacy.push_back({w.tx, 1.0 / 13.0});
-  for (RadioNodeId n : w.others) legacy.push_back({n, 1.0 / 13.0});
+  std::vector<ActiveTransmitter> list;
+  list.push_back({w.tx, 1.0 / 13.0});
+  for (RadioNodeId n : w.others) list.push_back({n, 1.0 / 13.0});
   for (int s = 0; s < 13; ++s) {
-    for (const ActiveTransmitter& t : legacy) imap.AddTransmitter(s, t.node, t.power_scale);
+    for (const ActiveTransmitter& t : list) imap.AddTransmitter(s, t.node, t.power_scale);
   }
   for (SimTime now = 0; now <= 100 * kMillisecond; now += 20 * kMillisecond) {
     for (int s = 0; s < 13; ++s) {
       const double engine = imap.SinrDb(w.tx, w.rx, s, now, 1.0 / 13.0);
       const double perlink =
-          w.env.SinrDb(w.tx, w.rx, static_cast<std::uint32_t>(s), now, legacy, 360e3,
+          w.env.SinrDb(w.tx, w.rx, static_cast<std::uint32_t>(s), now, list, 360e3,
                        1.0 / 13.0);
       EXPECT_EQ(engine, perlink) << "fading=" << fading << " s=" << s << " t=" << now;
     }
@@ -88,18 +93,18 @@ TEST_P(InterferenceMapTest, DistinctListsPerSubchannelStayExact) {
   // Interferer i transmits only on subchannels s >= i. With 12 interferers
   // that makes subchannels 0..11 pairwise distinct while 11 and 12 share a
   // list — 12 aggregation groups, exercising dedup and distinctness both.
-  std::vector<std::vector<ActiveTransmitter>> legacy(13);
+  std::vector<std::vector<ActiveTransmitter>> lists(13);
   for (int s = 0; s < 13; ++s) {
     for (std::size_t i = 0; i <= static_cast<std::size_t>(s) && i < w.others.size(); ++i) {
       imap.AddTransmitter(s, w.others[i], 1.0 / 13.0);
-      legacy[static_cast<std::size_t>(s)].push_back({w.others[i], 1.0 / 13.0});
+      lists[static_cast<std::size_t>(s)].push_back({w.others[i], 1.0 / 13.0});
     }
   }
   for (int s = 0; s < 13; ++s) {
     const double engine = imap.SinrDb(w.tx, w.rx, s, 5 * kMillisecond, 1.0 / 13.0);
     const double perlink =
         w.env.SinrDb(w.tx, w.rx, static_cast<std::uint32_t>(s), 5 * kMillisecond,
-                     legacy[static_cast<std::size_t>(s)], 360e3, 1.0 / 13.0);
+                     lists[static_cast<std::size_t>(s)], 360e3, 1.0 / 13.0);
     EXPECT_EQ(engine, perlink) << "fading=" << fading << " s=" << s;
   }
   EXPECT_EQ(imap.num_groups(), 12);
@@ -335,91 +340,189 @@ TEST(InterferenceMapCullTest, DropsBelowFloorInterferersWithinEpsilon) {
 }
 
 // ---------------------------------------------------------------------------
-// Network-level bit-identity: two LteNetworks over identically seeded
-// environments, one on the engine and one on the legacy path, stepped in
-// lockstep through activity toggles and mobility.
+// Network-level reference: after every subframe, each connected UE's
+// MeasureDownlinkSinr must equal, bit for bit, RadioEnvironment::SinrDb on
+// a second, identically seeded environment that shares no cache with the
+// network's — over interferer lists rebuilt here from each cell's
+// committed downlink plan (cell-index order, 1/N of the cell's power per
+// subchannel), minus the idle-cell CRS penalty recomputed from mean powers.
+// Stepped through an activity toggle and mobility, fading off and on.
 // ---------------------------------------------------------------------------
 
-class DualNetwork {
- public:
-  explicit DualNetwork(bool engine)
-      : env_(pathloss_, EnvConfig(/*fading=*/false)), net_(sim_, env_, NetConfig(engine)) {}
+lte::LteNetworkConfig NetConfig() {
+  lte::LteNetworkConfig c;
+  c.seed = 11;
+  return c;
+}
 
-  static lte::LteNetworkConfig NetConfig(bool engine) {
-    lte::LteNetworkConfig c;
-    c.use_interference_engine = engine;
-    c.seed = 11;
-    return c;
+bool BitEqual(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+class ReferenceNetwork {
+ public:
+  explicit ReferenceNetwork(bool fading)
+      : env_(pathloss_, EnvConfig(fading)),
+        ref_env_(pathloss_, EnvConfig(fading)),
+        net_(sim_, env_, NetConfig()) {}
+
+  RadioNodeId AddNode(const RadioNode& node) {
+    const RadioNodeId id = env_.AddNode(node);
+    EXPECT_EQ(ref_env_.AddNode(node), id);
+    return id;
+  }
+  void MoveNode(RadioNodeId id, Point p) {
+    env_.MoveNode(id, p);
+    ref_env_.MoveNode(id, p);
   }
 
   lte::CellId AddCellAt(Point p) {
-    const RadioNodeId r = env_.AddNode({.position = p, .tx_power_dbm = 30.0});
+    cell_radios_.push_back(AddNode({.position = p, .tx_power_dbm = 30.0}));
     lte::LteMacConfig mac;
     mac.bandwidth = LteBandwidth::k5MHz;
     mac.tdd_config = 4;
-    return net_.AddCell(mac, r);
+    return net_.AddCell(mac, cell_radios_.back());
   }
 
   lte::UeId AddUeAt(Point p) {
-    ue_radios_.push_back(env_.AddNode({.position = p, .tx_power_dbm = 20.0}));
+    ue_radios_.push_back(AddNode({.position = p, .tx_power_dbm = 20.0}));
     return net_.AddUe(ue_radios_.back());
+  }
+
+  /// What MeasureDownlinkSinr must return for `u` right now.
+  std::vector<double> ReferenceSinr(lte::UeId u) {
+    const int n = net_.cell(0).grid().num_subchannels();
+    const double bandwidth_hz = net_.cell(0).grid().rbg_size() * kRbBandwidthHz;
+    const double share = 1.0 / static_cast<double>(n);
+    std::vector<double> out(static_cast<std::size_t>(n), -40.0);
+    const lte::UeInfo& info = net_.ue(u);
+    if (info.serving == lte::kInvalidCell || !net_.cell_active(info.serving)) return out;
+    const RadioNodeId signal = cell_radios_[static_cast<std::size_t>(info.serving)];
+    const double signal_mw = ref_env_.MeanRxPowerMw(signal, info.radio);
+    double crs_penalty_db = 0.0;
+    for (std::size_t c = 0; c < cell_radios_.size(); ++c) {
+      if (static_cast<lte::CellId>(c) == info.serving ||
+          !net_.cell_active(static_cast<lte::CellId>(c)) || signal_mw <= 0.0) {
+        continue;
+      }
+      crs_penalty_db +=
+          std::min(1.0, ref_env_.MeanRxPowerMw(cell_radios_[c], info.radio) / signal_mw);
+    }
+    crs_penalty_db = std::min(crs_penalty_db, 2.0);
+    for (int s = 0; s < n; ++s) {
+      std::vector<ActiveTransmitter> interferers;
+      for (std::size_t c = 0; c < cell_radios_.size(); ++c) {
+        const auto id = static_cast<lte::CellId>(c);
+        const lte::TxPlan* plan = net_.committed_downlink_plan(id);
+        if (id == info.serving || !net_.cell_active(id) || plan == nullptr ||
+            !plan->data_active[static_cast<std::size_t>(s)]) {
+          continue;
+        }
+        interferers.push_back({cell_radios_[c], share});
+      }
+      if (interferers.size() >= 2) ++multi_interferer_lists_;
+      out[static_cast<std::size_t>(s)] =
+          ref_env_.SinrDb(signal, info.radio, static_cast<std::uint32_t>(s), sim_.Now(),
+                          interferers, bandwidth_hz, share) -
+          crs_penalty_db;
+    }
+    return out;
+  }
+
+  /// Compare every connected UE against the reference; report the first
+  /// mismatch only (one wrong list would otherwise flood the log).
+  void Check(const std::string& when) {
+    for (lte::UeId u = 0; u < static_cast<lte::UeId>(net_.ue_count()); ++u) {
+      if (net_.ue(u).state != lte::UeState::kConnected) continue;
+      const std::vector<double> got = net_.MeasureDownlinkSinr(u);
+      const std::vector<double> want = ReferenceSinr(u);
+      ASSERT_EQ(got.size(), want.size());
+      ++checked_ues_;
+      for (std::size_t s = 0; s < got.size(); ++s) {
+        if (BitEqual(got[s], want[s])) continue;
+        ++mismatches_;
+        if (mismatches_ == 1) {
+          ADD_FAILURE() << when << " t=" << sim_.Now() << " ue=" << u << " s=" << s
+                        << ": network " << got[s] << " vs reference " << want[s];
+        }
+      }
+    }
+  }
+
+  /// Run subframe by subframe until `until`, checking after each one.
+  void StepAndCheck(SimTime until, const std::string& when) {
+    while (sim_.Now() < until) {
+      sim_.RunUntil(sim_.Now() + kSubframeDuration);
+      Check(when);
+    }
   }
 
   HataUrbanPathLoss pathloss_;
   Simulator sim_;
   RadioEnvironment env_;
+  RadioEnvironment ref_env_;
   lte::LteNetwork net_;
+  std::vector<RadioNodeId> cell_radios_;
   std::vector<RadioNodeId> ue_radios_;
+  std::uint64_t checked_ues_ = 0;
+  std::uint64_t mismatches_ = 0;
+  std::uint64_t multi_interferer_lists_ = 0;
 };
 
-TEST(InterferenceEngineNetworkTest, LockstepBitIdentityAcrossActivityAndMobility) {
-  DualNetwork engine(true);
-  DualNetwork legacy(false);
-  for (DualNetwork* d : {&engine, &legacy}) {
-    d->AddCellAt({0, 0});
-    d->AddCellAt({900, 0});
-    d->AddCellAt({0, 900});
-    for (int c = 0; c < 3; ++c) {
-      for (int u = 0; u < 2; ++u) {
-        d->AddUeAt({100.0 + 400.0 * c, 50.0 + 300.0 * u});
-      }
-    }
-    d->net_.Start();
-    d->sim_.RunUntil(300 * kMillisecond);
-    for (lte::UeId u = 0; u < 6; ++u) d->net_.OfferDownlink(u, 8 << 20);
-    d->sim_.RunUntil(500 * kMillisecond);
-  }
+class NetworkReferenceTest : public ::testing::TestWithParam<bool> {};
 
-  auto expect_identical = [&](const char* when) {
-    for (lte::UeId u = 0; u < 6; ++u) {
-      ASSERT_EQ(engine.net_.ue(u).serving, legacy.net_.ue(u).serving) << when;
-      const std::vector<double> a = engine.net_.MeasureDownlinkSinr(u);
-      const std::vector<double> b = legacy.net_.MeasureDownlinkSinr(u);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t s = 0; s < a.size(); ++s) {
-        EXPECT_EQ(a[s], b[s]) << when << " ue=" << u << " s=" << s;
-      }
+TEST_P(NetworkReferenceTest, DownlinkSinrMatchesSinrDbReference) {
+  ReferenceNetwork r(GetParam());
+  const Point sites[] = {{0, 0}, {900, 0}, {0, 900}, {900, 900}, {450, 450}};
+  for (const Point& site : sites) {
+    r.AddCellAt(site);
+    for (int u = 0; u < 2; ++u) {
+      r.AddUeAt({site.x + 120.0 + 150.0 * u, site.y + 60.0 * u});
     }
-    EXPECT_EQ(engine.net_.total_dl_bits(), legacy.net_.total_dl_bits()) << when;
-  };
-  expect_identical("steady state");
-
-  // Activity toggle: the engine must invalidate its map and CRS cache.
-  for (DualNetwork* d : {&engine, &legacy}) d->net_.SetCellActive(1, false);
-  expect_identical("after deactivate");
-  for (DualNetwork* d : {&engine, &legacy}) {
-    d->net_.SetCellActive(1, true);
-    d->sim_.RunUntil(700 * kMillisecond);
   }
-  expect_identical("after reactivate + run");
+  // Partial masks give the subchannels distinct interferer lists.
+  std::vector<bool> low_half(13, false);
+  std::vector<bool> even(13, false);
+  for (std::size_t s = 0; s < 13; ++s) {
+    low_half[s] = s < 7;
+    even[s] = s % 2 == 0;
+  }
+  r.net_.SetAllowedMask(1, low_half);
+  r.net_.SetAllowedMask(3, even);
+  r.net_.Start();
+  r.sim_.RunUntil(300 * kMillisecond);
+  // Unequal loads: some cells drain and go idle while others stay busy.
+  for (lte::UeId u = 0; u < 10; ++u) r.net_.OfferDownlink(u, (u % 3 == 0 ? 48u : 2048u) << 10);
+  r.StepAndCheck(500 * kMillisecond, "steady state");
+
+  // Activity toggle: the map and the CRS-penalty cache must follow.
+  r.net_.SetCellActive(2, false);
+  r.Check("after deactivate");
+  r.StepAndCheck(650 * kMillisecond, "cell 2 off");
+  r.net_.SetCellActive(2, true);
+  r.Check("after reactivate");
+  r.StepAndCheck(800 * kMillisecond, "cell 2 back on");
 
   // Mobility: position_epoch must invalidate the aggregate rows.
-  for (DualNetwork* d : {&engine, &legacy}) {
-    d->env_.MoveNode(d->ue_radios_[0], {700, 120});
-    d->sim_.RunUntil(900 * kMillisecond);
-  }
-  expect_identical("after mobility + run");
-  EXPECT_EQ(engine.net_.interference_culled_total(), 0u);
+  r.MoveNode(r.ue_radios_[0], {700, 120});
+  r.Check("after move");
+  r.StepAndCheck(1000 * kMillisecond, "after move + run");
+
+  EXPECT_EQ(r.mismatches_, 0u);
+  EXPECT_GT(r.checked_ues_, 1000u);
+  EXPECT_GT(r.multi_interferer_lists_, 1000u);  // order within a list mattered
+  EXPECT_EQ(r.net_.interference_culled_total(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(FadingOnOff, NetworkReferenceTest, ::testing::Bool());
+
+TEST(InterferenceEngineConfigTest, NetworkRejectsEngineOff) {
+  HataUrbanPathLoss pathloss;
+  RadioEnvironment env(pathloss, EnvConfig(/*fading=*/false));
+  Simulator sim;
+  lte::LteNetworkConfig c = NetConfig();
+  c.use_interference_engine = false;
+  EXPECT_THROW({ lte::LteNetwork net(sim, env, c); }, std::invalid_argument);
 }
 
 TEST(InterferenceEngineNetworkTest, SinrMemoHitsInSteadyFadingScenario) {
@@ -429,7 +532,7 @@ TEST(InterferenceEngineNetworkTest, SinrMemoHitsInSteadyFadingScenario) {
   HataUrbanPathLoss pathloss;
   RadioEnvironment env(pathloss, EnvConfig(/*fading=*/true));
   Simulator sim;
-  lte::LteNetwork net(sim, env, DualNetwork::NetConfig(/*engine=*/true));
+  lte::LteNetwork net(sim, env, NetConfig());
   for (int c = 0; c < 14; ++c) {
     const Point site{600.0 * (c % 7), 600.0 * (c / 7)};
     lte::LteMacConfig mac;
@@ -462,7 +565,7 @@ TEST_P(CqiReportOracleTest, EveryReportMatchesFormulaOnMeasuredSinr) {
   HataUrbanPathLoss pathloss;
   RadioEnvironment env(pathloss, EnvConfig(/*fading=*/true));
   Simulator sim;
-  lte::LteNetwork net(sim, env, DualNetwork::NetConfig(/*engine=*/true));
+  lte::LteNetwork net(sim, env, NetConfig());
   std::vector<RadioNodeId> ue_radios;
   for (int c = 0; c < 4; ++c) {
     const Point site{700.0 * (c % 2), 700.0 * (c / 2)};
@@ -513,15 +616,8 @@ TEST_P(CqiReportOracleTest, EveryReportMatchesFormulaOnMeasuredSinr) {
 
 INSTANTIATE_TEST_SUITE_P(Mode30OnOff, CqiReportOracleTest, ::testing::Bool());
 
-// ---------------------------------------------------------------------------
-// Scenario-level regression: full RunScenarioOn with the engine on vs off
-// must produce bit-identical outcomes on fig9a-style topologies — fading
-// off (exercising the aggregate cache + CellFi masks) and fading on (the
-// per-link fallback), culling off in both.
-// ---------------------------------------------------------------------------
-
 scenario::ScenarioConfig ScenarioFor(scenario::Technology tech, bool fading,
-                                     bool engine, double floor_db) {
+                                     double floor_db) {
   scenario::ScenarioConfig cfg;
   cfg.tech = tech;
   cfg.workload = scenario::WorkloadKind::kBacklogged;
@@ -536,40 +632,15 @@ scenario::ScenarioConfig ScenarioFor(scenario::Technology tech, bool fading,
   cfg.warmup = 1 * kSecond;
   cfg.duration = 3 * kSecond;
   cfg.enable_fading = fading;
-  cfg.use_interference_engine = engine;
   cfg.interference_floor_db = floor_db;
   cfg.seed = 41;
   return cfg;
 }
 
-void ExpectBitIdentical(const scenario::ScenarioResult& a,
-                        const scenario::ScenarioResult& b) {
-  EXPECT_EQ(a.total_throughput_bps, b.total_throughput_bps);
-  EXPECT_EQ(a.fraction_connected, b.fraction_connected);
-  EXPECT_EQ(a.fraction_starved, b.fraction_starved);
-  ASSERT_EQ(a.clients.size(), b.clients.size());
-  for (std::size_t i = 0; i < a.clients.size(); ++i) {
-    EXPECT_EQ(a.clients[i].throughput_bps, b.clients[i].throughput_bps) << "client " << i;
-    EXPECT_EQ(a.clients[i].attached, b.clients[i].attached) << "client " << i;
-  }
-}
-
-TEST(InterferenceEngineScenarioTest, EngineOffOnBitIdenticalNoFading) {
-  const auto on = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kCellFi, false, true, 0.0));
-  const auto off = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kCellFi, false, false, 0.0));
-  ExpectBitIdentical(on, off);
-  EXPECT_GT(on.total_throughput_bps, 0.0);
-}
-
-TEST(InterferenceEngineScenarioTest, EngineOffOnBitIdenticalWithFading) {
-  const auto on = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kLte, true, true, 0.0));
-  const auto off = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kLte, true, false, 0.0));
-  ExpectBitIdentical(on, off);
-  EXPECT_GT(on.total_throughput_bps, 0.0);
+TEST(InterferenceEngineConfigTest, ScenarioRejectsEngineOff) {
+  scenario::ScenarioConfig cfg = ScenarioFor(scenario::Technology::kLte, false, 0.0);
+  cfg.use_interference_engine = false;
+  EXPECT_THROW(scenario::RunScenario(cfg), std::invalid_argument);
 }
 
 TEST(InterferenceEngineScenarioTest, CullingStaysWithinTolerance) {
@@ -577,9 +648,9 @@ TEST(InterferenceEngineScenarioTest, CullingStaysWithinTolerance) {
   // summaries must stay within a small relative band of the exact run
   // (CQI quantization usually absorbs the perturbation entirely).
   const auto exact = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kLte, false, true, 0.0));
+      ScenarioFor(scenario::Technology::kLte, false, 0.0));
   const auto culled = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kLte, false, true, 30.0));
+      ScenarioFor(scenario::Technology::kLte, false, 30.0));
   EXPECT_GT(exact.total_throughput_bps, 0.0);
   EXPECT_NEAR(culled.total_throughput_bps / exact.total_throughput_bps, 1.0, 0.02);
   EXPECT_NEAR(culled.fraction_connected, exact.fraction_connected, 0.11);

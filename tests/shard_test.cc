@@ -320,7 +320,7 @@ TEST(InterferenceMapSealTest, FirstQuerySealsImplicitly) {
 // ---------------------------------------------------------------------------
 
 scenario::ScenarioConfig ShardScenario(scenario::Technology tech, bool fading,
-                                       bool engine, double floor_db, int shards) {
+                                       double floor_db, int shards) {
   scenario::ScenarioConfig cfg;
   cfg.tech = tech;
   cfg.workload = scenario::WorkloadKind::kBacklogged;
@@ -335,7 +335,6 @@ scenario::ScenarioConfig ShardScenario(scenario::Technology tech, bool fading,
   cfg.warmup = 1 * kSecond;
   cfg.duration = 3 * kSecond;
   cfg.enable_fading = fading;
-  cfg.use_interference_engine = engine;
   cfg.interference_floor_db = floor_db;
   cfg.shards = shards;
   // Pin 4 worker threads so the sharded variants exercise REAL
@@ -362,33 +361,23 @@ void ExpectBitIdentical(const scenario::ScenarioResult& a,
 
 TEST(ShardBitIdentityTest, AnyShardCountMatchesUnshardedNoFading) {
   const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, false, true, 0.0, 1));
+      ShardScenario(scenario::Technology::kLte, false, 0.0, 1));
   EXPECT_GT(ref.total_throughput_bps, 0.0);
   for (int shards : {2, 4, 8}) {
     const auto sharded = scenario::RunScenario(
-        ShardScenario(scenario::Technology::kLte, false, true, 0.0, shards));
+        ShardScenario(scenario::Technology::kLte, false, 0.0, shards));
     ExpectBitIdentical(ref, sharded,
                        ("shards=" + std::to_string(shards)).c_str());
   }
-}
-
-TEST(ShardBitIdentityTest, ShardedMatchesLegacyPath) {
-  // Transitivity made explicit: the sharded engine must still equal the
-  // pre-engine per-link path, the original ground truth.
-  const auto legacy = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, false, false, 0.0, 1));
-  const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, false, true, 0.0, 4));
-  ExpectBitIdentical(legacy, sharded, "legacy vs shards=4");
 }
 
 TEST(ShardBitIdentityTest, FadingPathStaysBitIdentical) {
   // Fading falls back to per-link SINR inside the engine; the staged
   // parallel queries must still commit in the identical order.
   const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, true, true, 0.0, 1));
+      ShardScenario(scenario::Technology::kLte, true, 0.0, 1));
   const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, true, true, 0.0, 4));
+      ShardScenario(scenario::Technology::kLte, true, 0.0, 4));
   ExpectBitIdentical(ref, sharded, "fading shards=4");
 }
 
@@ -397,9 +386,9 @@ TEST(ShardBitIdentityTest, CullFastPathStaysBitIdenticalAcrossShards) {
   // must not change which interferers are culled (counters are summed
   // order-independently, results merged in cell order).
   const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, false, true, 30.0, 1));
+      ShardScenario(scenario::Technology::kLte, false, 30.0, 1));
   const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, false, true, 30.0, 4));
+      ShardScenario(scenario::Technology::kLte, false, 30.0, 4));
   ExpectBitIdentical(ref, sharded, "cull30 shards=4");
 }
 
@@ -407,17 +396,17 @@ TEST(ShardBitIdentityTest, LbtSerialGateUnaffectedByShards) {
   // LAA/LBT draws its carrier-sense gate from the shared RNG; the serial
   // phase-1a gate loop must keep the draw sequence identical for any K.
   const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLaaLte, false, true, 0.0, 1));
+      ShardScenario(scenario::Technology::kLaaLte, false, 0.0, 1));
   const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLaaLte, false, true, 0.0, 4));
+      ShardScenario(scenario::Technology::kLaaLte, false, 0.0, 4));
   ExpectBitIdentical(ref, sharded, "laa shards=4");
 }
 
 TEST(ShardBitIdentityTest, CellFiControllerStackUnaffectedByShards) {
   const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kCellFi, false, true, 0.0, 1));
+      ShardScenario(scenario::Technology::kCellFi, false, 0.0, 1));
   const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kCellFi, false, true, 0.0, 4));
+      ShardScenario(scenario::Technology::kCellFi, false, 0.0, 4));
   ExpectBitIdentical(ref, sharded, "cellfi shards=4");
 }
 
@@ -426,7 +415,7 @@ TEST(ShardBitIdentityTest, AggregateLoadTierUnaffectedByShards) {
   // and runs serially on the event loop: its PRB reservations and PRACH
   // injections must be invisible to the shard partition.
   auto with_agg = [](int shards) {
-    auto cfg = ShardScenario(scenario::Technology::kCellFi, false, true, 0.0,
+    auto cfg = ShardScenario(scenario::Technology::kCellFi, false, 0.0,
                              shards);
     cfg.aggregate_load.users_per_cell = 300;
     cfg.aggregate_load.activity_jitter = 0.2;

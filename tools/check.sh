@@ -13,8 +13,9 @@
 #                       [--static] [--same-bytes <git-ref>]
 #   --fast   skip the sanitizer stage (inner-loop use; CI runs everything)
 #   --bench  additionally run the bench_smoke suite (1-rep end-to-end runs
-#            of every sweep bench, including the bench_scale bit-identity
-#            gate). Each fresh BENCH_*.json artifact is diffed against the
+#            of every sweep bench, including the bench_scale
+#            engine_sK == engine bit-identity gate). Each fresh
+#            BENCH_*.json artifact is diffed against the
 #            baseline directory (CELLFI_BENCH_BASELINE, default
 #            bench/baselines/) with tools/bench_compare.py; a >20%
 #            per-point wall-time regression fails the gate, while brand-new
@@ -29,8 +30,9 @@
 #            configure even with --fast.
 #   --shard  additionally build the sanitize-tsan preset and run the shard
 #            suite (`ctest -L shard`: worker pool, neighbor graph, shard
-#            grid, multi-threaded subframe bit-identity) under
-#            ThreadSanitizer — the data-race gate for DESIGN.md §15.
+#            grid, multi-threaded subframe bit-identity across shard
+#            counts) under ThreadSanitizer — the data-race gate for
+#            DESIGN.md §15.
 #   --simd   additionally build the simd-off preset (CELLFI_SIMD=OFF,
 #            scalar reference kernels) and run the SIMD parity suite
 #            (`ctest -L simd`) in BOTH trees, threading a kernel-output
@@ -255,7 +257,7 @@ if [[ "$PERFBENCH" -eq 1 ]]; then
 fi
 
 if [[ "$BENCH" -eq 1 ]]; then
-  step "bench_smoke suite (1-rep sweeps + bench_scale bit-identity gate)"
+  step "bench_smoke suite (1-rep sweeps + bench_scale engine_sK == engine gate)"
   ctest --test-dir "$ROOT/build-check" -C bench_smoke -L bench_smoke --output-on-failure
 
   # Default to the committed seed baselines; point CELLFI_BENCH_BASELINE
