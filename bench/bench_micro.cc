@@ -19,7 +19,6 @@
 #include "cellfi/radio/environment.h"
 #include "cellfi/radio/interference.h"
 #include "cellfi/radio/pathloss.h"
-#include "cellfi/radio/shard_grid.h"
 
 using namespace cellfi;
 
@@ -420,19 +419,6 @@ void BM_SinrPerLinkLegacy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SinrPerLinkLegacy)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_NeighborGraphBuild(benchmark::State& state) {
-  // One-off (per position epoch) cost of deriving the below-noise-floor
-  // neighbor bitmap + adjacency lists the shard layer and the cull fast
-  // path share (DESIGN.md §15). O(n^2) mean-power evaluations.
-  EngineBenchWorld w(static_cast<int>(state.range(0)));
-  NeighborGraph graph;
-  for (auto _ : state) {
-    graph.Build(w.env, 30.0, 360e3);
-    benchmark::DoNotOptimize(graph.edge_count());
-  }
-}
-BENCHMARK(BM_NeighborGraphBuild)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_ShardBarrierMerge(benchmark::State& state) {
   // The serial section at the uplink subframe barrier: per-shard staged

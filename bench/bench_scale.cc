@@ -6,9 +6,7 @@
 //                  shards=1 (label kept from PR 4 for baseline diffing),
 //   engine_sK      engine partitioned into K spatial shards, subframe
 //                  phases on the shard worker pool (K from
-//                  CELLFI_BENCH_SCALE_SHARDS, default 2,4,8),
-//   engine_cull30  engine + 30 dB below-noise interferer culling through
-//                  the NeighborGraph fast path.
+//                  CELLFI_BENCH_SCALE_SHARDS, default 2,4,8).
 // Emits BENCH_scale.json and prints per-count wall times and speedups.
 //
 // Built-in bit-identity gate: every engine_sK summary must equal the
@@ -98,7 +96,6 @@ bool SameResult(const ScenarioResult& a, const ScenarioResult& b) {
 
 struct Variant {
   std::string name;
-  double floor_db = 0.0;
   int shards = 1;
   bool identity_reference = false;  // the shards=1 engine run others diff against
 };
@@ -110,7 +107,6 @@ std::vector<Variant> Variants(const std::vector<int>& shard_counts) {
     if (k <= 1) continue;
     v.push_back(Variant{.name = "engine_s" + std::to_string(k), .shards = k});
   }
-  v.push_back(Variant{.name = "engine_cull30", .floor_db = 30.0});
   return v;
 }
 
@@ -150,7 +146,6 @@ int main() {
           GenerateTopology(ScaleConfig(counts[ci], seed).topology, rng));
       for (std::size_t vi = 0; vi < variants.size(); ++vi) {
         ScenarioConfig cfg = ScaleConfig(counts[ci], seed);
-        cfg.interference_floor_db = variants[vi].floor_db;
         cfg.shards = variants[vi].shards;
         jobs.push_back(Replication{
             cfg, topo, first_point + static_cast<int>(vi), rep,
@@ -180,7 +175,6 @@ int main() {
       for (int q = 0; q < static_cast<int>(points.size()); ++q) {
         const PointInfo& info = points[static_cast<std::size_t>(q)];
         if (info.cells != cells || q == p) continue;
-        if (info.variant.floor_db > 0.0) continue;  // cull approximates by design
         const ScenarioResult* other = result_of(q, rep);
         if (other == nullptr) continue;
         if (!SameResult(*ref, *other)) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 
 #include "cellfi/chaos/invariants.h"
@@ -17,18 +16,24 @@ namespace {
 /// PRACH format 0 occupies 839 subcarriers of 1.25 kHz.
 constexpr double kPrachBandwidthHz = 839 * 1250.0;
 
-const LteNetworkConfig& Validated(const LteNetworkConfig& config) {
+const LteNetworkConfig& Validated(const LteNetworkConfig& config,
+                                  const RadioEnvironment& env) {
   if (!config.use_interference_engine) {
     throw std::invalid_argument(
         "LteNetwork: use_interference_engine must be true (the interference "
         "engine is the only subframe resolver)");
+  }
+  if (env.config().interference_floor_db > 0.0) {
+    throw std::invalid_argument(
+        "LteNetwork: interference_floor_db must be <= 0 (the negligible-"
+        "interferer cull was removed; every interferer counts)");
   }
   return config;
 }
 }  // namespace
 
 LteNetwork::LteNetwork(Simulator& sim, RadioEnvironment& env, LteNetworkConfig config)
-    : sim_(sim), env_(env), config_(Validated(config)), rng_(config.seed), imap_(env) {}
+    : sim_(sim), env_(env), config_(Validated(config, env)), rng_(config.seed), imap_(env) {}
 
 CellId LteNetwork::AddCell(const LteMacConfig& mac, RadioNodeId radio) {
   assert(!started_);
@@ -330,38 +335,17 @@ void LteNetwork::EnsureShardState() {
   shard_threads_ = ResolveShardThreads(config_.shard_threads, k);
   shard_pool_.reset();
   if (shard_threads_ > 1) shard_pool_ = std::make_unique<WorkerPool>(shard_threads_);
-  shard_scratch_.assign(static_cast<std::size_t>(k), {});
   plan_pending_.assign(cells_.size(), 0);
   staged_tb_sinr_.assign(cells_.size(), {});
+  shard_items_.assign(static_cast<std::size_t>(k), 0);
   // Per-receiver caches grow lazily on the serial paths; presize them here
   // so no worker thread ever sees a resize.
   if (crs_cache_.size() < env_.node_count()) crs_cache_.resize(env_.node_count());
-  if (env_.config().interference_floor_db > 0.0) {
-    neighbor_graph_.Build(env_, env_.config().interference_floor_db,
-                          subchannel_bandwidth_hz_);
-    imap_.SetNeighborGraph(&neighbor_graph_);
-  }
   if (k > 1) {
     if (obs::TraceSink* tr = obs::ActiveTrace()) {
-      std::vector<RadioNodeId> cell_radios;
-      cell_radios.reserve(cells_.size());
-      for (const CellRec& rec : cells_) cell_radios.push_back(rec.radio);
-      const int cross =
-          neighbor_graph_.built()
-              ? static_cast<int>(
-                    CountCrossShardEdges(neighbor_graph_, *shard_grid_, cell_radios))
-              : -1;  // cull off: every pair couples, the count is vacuous
-      tr->Emit(sim_.Now(), "lte", "shard_setup",
-               {{"shards", k}, {"cross_edges", cross}});
+      tr->Emit(sim_.Now(), "lte", "shard_setup", {{"shards", k}});
     }
   }
-}
-
-void LteNetwork::RefreshNeighborGraph() {
-  if (!neighbor_graph_.built()) return;
-  if (neighbor_graph_.build_position_epoch() == env_.position_epoch()) return;
-  neighbor_graph_.Build(env_, env_.config().interference_floor_db,
-                        subchannel_bandwidth_hz_);
 }
 
 void LteNetwork::ForEachShard(const std::function<void(int)>& task) {
@@ -374,24 +358,16 @@ void LteNetwork::ForEachShard(const std::function<void(int)>& task) {
   }
 }
 
-void LteNetwork::EmitShardMetrics() {
-  if (shard_grid_ == nullptr || shard_grid_->num_shards() <= 1) return;
+void LteNetwork::EmitShardMetrics(const std::vector<std::size_t>& items_per_shard) {
+  if (items_per_shard.size() <= 1) return;
   obs::MetricsRegistry* m = obs::ActiveMetrics();
   if (m == nullptr) return;
   m->Add(m->Counter("lte.shard.barriers"));
-  // Imbalance from the staged work-item counts (transmissions resolved per
-  // shard this subframe): a pure function of the committed plans, so the
-  // histogram is identical for every thread count and never reads a clock.
-  std::size_t max_items = 0;
-  std::size_t min_items = std::numeric_limits<std::size_t>::max();
-  for (int s = 0; s < shard_grid_->num_shards(); ++s) {
-    std::size_t items = 0;
-    for (int c : shard_grid_->cells(s)) {
-      items += staged_tb_sinr_[static_cast<std::size_t>(c)].size();
-    }
-    max_items = std::max(max_items, items);
-    min_items = std::min(min_items, items);
-  }
+  // Imbalance from the pass's work-item counts (transmissions staged or
+  // UEs measured per shard): a pure function of the plans and the UE set,
+  // so the histogram is identical for every thread count and never reads
+  // a clock.
+  const auto [min_items, max_items] = std::ranges::minmax(items_per_shard);
   if (max_items > 0) {
     m->Observe(m->Histogram("lte.shard.imbalance", obs::FractionBounds()),
                static_cast<double>(max_items - min_items) /
@@ -403,9 +379,7 @@ void LteNetwork::EnsureDownlinkMap() const {
   if (!dl_map_valid_) BuildDownlinkMap();
 }
 
-void LteNetwork::MeasureDownlinkSinrInto(
-    UeId ue_id, std::vector<double>& out,
-    std::vector<ActiveTransmitter>* scratch) const {
+void LteNetwork::MeasureDownlinkSinrInto(UeId ue_id, std::vector<double>& out) const {
   const UeInfo& info = ues_[static_cast<std::size_t>(ue_id)];
   out.assign(static_cast<std::size_t>(num_subchannels_), -40.0);
   if (info.serving == kInvalidCell) return;
@@ -416,14 +390,14 @@ void LteNetwork::MeasureDownlinkSinrInto(
   EnsureDownlinkMap();
   for (int s = 0; s < num_subchannels_; ++s) {
     out[static_cast<std::size_t>(s)] =
-        imap_.SinrDb(serving.radio, info.radio, s, sim_.Now(), signal_scale, scratch) -
+        imap_.SinrDb(serving.radio, info.radio, s, sim_.Now(), signal_scale) -
         crs_penalty;
   }
 }
 
 std::vector<double> LteNetwork::MeasureDownlinkSinr(UeId ue_id) const {
   std::vector<double> sinr;
-  MeasureDownlinkSinrInto(ue_id, sinr, nullptr);
+  MeasureDownlinkSinrInto(ue_id, sinr);
   return sinr;
 }
 
@@ -513,7 +487,6 @@ bool LteNetwork::LbtMayTransmit(CellRec& rec) {
 
 void LteNetwork::ResetPlans() {
   EnsureShardState();
-  RefreshNeighborGraph();
   for (CellRec& rec : cells_) {
     rec.current_plan = TxPlan{};
     rec.current_plan.data_active.assign(static_cast<std::size_t>(num_subchannels_), false);
@@ -528,7 +501,7 @@ void LteNetwork::StageTransmissions(const LinkOf& link_of) {
   // indexed by receiver, and a receiver — a UE in downlink, the cell's own
   // radio in uplink — is only ever queried by the shard owning its cell.
   ForEachShard([this, &link_of](int s) {
-    std::vector<ActiveTransmitter>* scratch = &shard_scratch_[static_cast<std::size_t>(s)];
+    std::size_t staged_count = 0;
     for (int c : shard_grid_->cells(s)) {
       const TxPlan& plan = cells_[static_cast<std::size_t>(c)].current_plan;
       std::vector<double>& staged = staged_tb_sinr_[static_cast<std::size_t>(c)];
@@ -538,14 +511,16 @@ void LteNetwork::StageTransmissions(const LinkOf& link_of) {
         const StagedLink link = link_of(static_cast<CellId>(c), tx);
         double sinr_linear_sum = 0.0;
         for (int sub : tx.subchannels) {
-          sinr_linear_sum += DbToLinear(imap_.SinrDb(link.source, link.receiver, sub, sim_.Now(),
-                                                     link.signal_scale, scratch));
+          sinr_linear_sum += DbToLinear(
+              imap_.SinrDb(link.source, link.receiver, sub, sim_.Now(), link.signal_scale));
         }
         staged.push_back(
             LinearToDb(sinr_linear_sum / static_cast<double>(tx.subchannels.size())) -
             link.crs_penalty_db);
       }
+      staged_count += staged.size();
     }
+    shard_items_[static_cast<std::size_t>(s)] = staged_count;
   });
 }
 
@@ -674,7 +649,7 @@ void LteNetwork::RunDownlinkSubframe() {
     }
     rec.mac->UpdatePfAverages(served_bits);
   }
-  EmitShardMetrics();
+  EmitShardMetrics(shard_items_);
 
   // Update LBT carrier-sense state for the next subframe.
   for (CellRec& rec : cells_) {
@@ -733,7 +708,7 @@ void LteNetwork::RunUplinkSubframe() {
       rec.mac->CompleteUplink(rec.current_plan.transmissions[i], staged_tb_sinr_[c][i], rng_);
     }
   }
-  EmitShardMetrics();
+  EmitShardMetrics(shard_items_);
 
   // The engine now holds uplink lists and the cells' plans were
   // overwritten with UL grants: any later MeasureDownlinkSinr must
@@ -757,15 +732,16 @@ void LteNetwork::GenerateCqiReports() {
         info.state == UeState::kConnected && cell(info.serving).FindUe(info.id) != nullptr;
   }
   ForEachShard([this](int s) {
-    std::vector<ActiveTransmitter>* scratch = &shard_scratch_[static_cast<std::size_t>(s)];
+    std::size_t measured = 0;
     for (const UeInfo& info : ues_) {
       if (!cqi_pending_[static_cast<std::size_t>(info.id)]) continue;
       if (shard_grid_->shard_of(info.serving) != s) continue;
-      MeasureDownlinkSinrInto(info.id, staged_cqi_sinr_[static_cast<std::size_t>(info.id)],
-                              scratch);
+      MeasureDownlinkSinrInto(info.id, staged_cqi_sinr_[static_cast<std::size_t>(info.id)]);
+      ++measured;
     }
+    shard_items_[static_cast<std::size_t>(s)] = measured;
   });
-  EmitShardMetrics();
+  EmitShardMetrics(shard_items_);
 
   for (UeInfo& info : ues_) {
     if (info.state != UeState::kConnected) continue;

@@ -7,7 +7,9 @@
 //   2. resolves each transport block against the realized SINR — with all
 //      concurrently transmitting cells/UEs as interferers, idle cells still
 //      contributing their control/reference-symbol power (Fig. 7's
-//      "signalling interference"),
+//      "signalling interference") — through the one exact, memoized
+//      interference engine (InterferenceMap, DESIGN.md §12/§20): every
+//      interferer counts, however weak,
 //   3. generates sub-band CQI reports from what UEs actually measured, and
 //   4. emits PRACH observations to every cell that can hear an attaching or
 //      solicited client (CellFi's contender-counting input).
@@ -122,7 +124,8 @@ class LteNetwork {
  public:
   /// `env` must outlive the network; all cells must share one TDD config
   /// (GPS-synchronized frames, as CellFi requires). Throws
-  /// std::invalid_argument when config.use_interference_engine is false.
+  /// std::invalid_argument when config.use_interference_engine is false or
+  /// env's interference_floor_db is > 0 (both checked input only).
   LteNetwork(Simulator& sim, RadioEnvironment& env, LteNetworkConfig config);
 
   // --- Topology ---------------------------------------------------------------
@@ -193,14 +196,6 @@ class LteNetwork {
 
   std::uint64_t total_dl_bits() const;
 
-  /// Interference terms dropped by the negligible-interferer cull
-  /// (RadioEnvironmentConfig::interference_floor_db) — 0 unless the cull
-  /// is enabled.
-  std::uint64_t interference_culled_total() const { return imap_.culled_total(); }
-  /// Drops discovered while resolving the most recent subframe.
-  std::uint64_t interference_culled_last_subframe() const {
-    return imap_.culled_this_epoch();
-  }
   /// The engine's SINR memo hits and misses (DESIGN.md §20).
   InterferenceMap::SinrMemoStats sinr_memo_stats() const {
     return imap_.sinr_memo_stats();
@@ -210,11 +205,6 @@ class LteNetwork {
   /// subframe builds the shard state). Test/bench introspection.
   int shard_count() const { return shard_grid_ ? shard_grid_->num_shards() : 1; }
   int shard_thread_count() const { return shard_threads_; }
-  /// The cull-derived neighbor graph, or nullptr when the cull is off
-  /// (every pair would be a neighbor) or no subframe has run yet.
-  const NeighborGraph* neighbor_graph() const {
-    return neighbor_graph_.built() ? &neighbor_graph_ : nullptr;
-  }
 
  private:
   struct CellRec {
@@ -241,8 +231,8 @@ class LteNetwork {
   void RunDownlinkSubframe();
   void RunUplinkSubframe();
   void GenerateCqiReports();
-  /// Serial subframe entry for both directions: build the shard state,
-  /// refresh the neighbor graph and clear every cell's plan.
+  /// Serial subframe entry for both directions: build the shard state and
+  /// clear every cell's plan.
   void ResetPlans();
   /// One transmission's link as its direction sees it.
   struct StagedLink {
@@ -258,28 +248,23 @@ class LteNetwork {
   void StageTransmissions(const LinkOf& link_of);
 
   // --- Intra-replication sharding (DESIGN.md §15) -------------------------------
-  /// Build (once) the spatial partition, worker pool, neighbor graph and
-  /// staging buffers; presize every lazily grown per-receiver cache at a
-  /// serial point so no worker ever triggers a resize.
+  /// Build (once) the spatial partition, worker pool and staging buffers;
+  /// presize every lazily grown per-receiver cache at a serial point so no
+  /// worker ever triggers a resize.
   void EnsureShardState();
-  /// Rebuild the neighbor graph when node mobility invalidated it. Called
-  /// at serial subframe entry; correctness never depends on it (a stale
-  /// graph is simply ignored by the engine), only cull speed does.
-  void RefreshNeighborGraph();
   /// Run task(shard) for every shard — on the worker pool when one exists,
   /// inline otherwise. Returns only after all shards finish: this IS the
   /// subframe barrier between a parallel phase and the serial merge.
   void ForEachShard(const std::function<void(int)>& task);
-  /// Deterministic barrier instrumentation: barrier counter + work-item
-  /// imbalance histogram from per-shard staged transmission counts (never
-  /// wall time — obs must not perturb determinism).
-  void EmitShardMetrics();
-  /// MeasureDownlinkSinr body writing into a caller buffer; `scratch` is
-  /// the per-thread cull scratch for concurrent staging (nullptr = serial).
-  /// Runs on shard workers during staged SINR/CQI phases (DESIGN.md §16).
+  /// Deterministic barrier instrumentation for the pass that just ran:
+  /// barrier counter + work-item imbalance histogram from
+  /// `items_per_shard` (never wall time — obs must not perturb
+  /// determinism).
+  void EmitShardMetrics(const std::vector<std::size_t>& items_per_shard);
+  /// MeasureDownlinkSinr body writing into a caller buffer. Runs on shard
+  /// workers during staged SINR/CQI phases (DESIGN.md §16).
   // cellfi-purity: contract-root(parallel-shard-phase) LteNetwork::MeasureDownlinkSinrInto
-  void MeasureDownlinkSinrInto(UeId ue, std::vector<double>& out,
-                               std::vector<ActiveTransmitter>* scratch) const;
+  void MeasureDownlinkSinrInto(UeId ue, std::vector<double>& out) const;
   void SolicitPrach();
   void TryAttach(UeId ue);
   void Detach(UeId ue, bool count_disconnection);
@@ -341,14 +326,14 @@ class LteNetwork {
   // bit-identical for any shard or thread count.
   std::unique_ptr<ShardGrid> shard_grid_;
   std::unique_ptr<WorkerPool> shard_pool_;  // only when shard_threads_ > 1
-  NeighborGraph neighbor_graph_;            // built when the cull is on
   int shard_threads_ = 1;
   std::vector<std::uint8_t> plan_pending_;  // cells gated into DL planning
   /// Per cell: tb SINR (dB) of each planned transmission, staged by the
   /// parallel phase, consumed by the serial commit.
   std::vector<std::vector<double>> staged_tb_sinr_;
-  /// Per shard: cull-survivor scratch handed to InterferenceMap::SinrDb.
-  std::vector<std::vector<ActiveTransmitter>> shard_scratch_;
+  /// Per shard: work items of the last parallel pass (transmissions staged
+  /// or UEs measured), written by the owning shard; feeds EmitShardMetrics.
+  std::vector<std::size_t> shard_items_;
   std::vector<std::uint8_t> cqi_pending_;             // UEs reporting this round
   std::vector<std::vector<double>> staged_cqi_sinr_;  // per UE
   std::vector<CqiMeasurer> cqi_measurers_;            // per UE

@@ -39,13 +39,13 @@ struct RadioEnvironmentConfig {
   /// Rician K-factor (linear). 0 = Rayleigh; ~6-10 for static outdoor
   /// nodes with a line-of-sight component.
   double rician_k = 0.0;
-  /// Negligible-interferer cull for the interference engine
-  /// (InterferenceMap): interferers whose mean rx power is at least this
-  /// many dB below the receiver's noise floor are dropped from the
-  /// precomputed interference lists. <= 0 disables the cull (the default:
-  /// every interferer counts and the engine is bit-identical to
-  /// RadioEnvironment::SinrDb over the same lists, its test reference).
-  /// See DESIGN.md §12 for when enabling it is safe.
+  /// Checked input, not a switch: the below-noise interferer floor it
+  /// used to set is gone, and every interferer always counts.
+  /// lte::LteNetwork throws std::invalid_argument when it is > 0; values
+  /// <= 0 (the old default) are accepted and change nothing. It stays
+  /// declared only because the benchmark's copy of scenario::RunLteBased
+  /// still assigns it, and goes away together with that copy (ROADMAP.md,
+  /// "One scenario assembly").
   double interference_floor_db = 0.0;
   std::uint64_t seed = 1;
 };

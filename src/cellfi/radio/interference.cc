@@ -6,7 +6,6 @@
 
 #include "cellfi/common/simd.h"
 #include "cellfi/common/units.h"
-#include "cellfi/radio/shard_grid.h"
 
 namespace cellfi {
 
@@ -44,8 +43,6 @@ void InterferenceMap::BeginEpoch(int num_subchannels, double bandwidth_hz) {
   ++epoch_;
   num_subchannels_ = num_subchannels;
   bandwidth_hz_ = bandwidth_hz;
-  const double floor_db = env_.config().interference_floor_db;
-  cull_scale_ = floor_db > 0.0 ? DbToLinear(-floor_db) : 0.0;
   if (per_subchannel_.size() < static_cast<std::size_t>(num_subchannels)) {
     per_subchannel_.resize(static_cast<std::size_t>(num_subchannels));
   }
@@ -54,16 +51,6 @@ void InterferenceMap::BeginEpoch(int num_subchannels, double bandwidth_hz) {
   }
   sealed_ = false;
   num_groups_ = 0;
-  culled_epoch_.store(0, std::memory_order_relaxed);
-  graph_active_ = cull_scale_ > 0.0 && GraphMatchesEpoch();
-}
-
-bool InterferenceMap::GraphMatchesEpoch() const {
-  return neighbor_graph_ != nullptr && neighbor_graph_->built() &&
-         neighbor_graph_->node_count() == env_.node_count() &&
-         neighbor_graph_->build_position_epoch() == env_.position_epoch() &&
-         neighbor_graph_->floor_db() == env_.config().interference_floor_db &&
-         neighbor_graph_->bandwidth_hz() == bandwidth_hz_;
 }
 
 void InterferenceMap::AddTransmitter(int subchannel, RadioNodeId node,
@@ -149,10 +136,9 @@ double InterferenceMap::AggregateDenomMw(RadioNodeId tx, RadioNodeId rx,
   // cached mean powers gathered in list order — compacted into `terms` and
   // summed in the fixed 8-lane blocked order (simd::BlockedSum8, DESIGN.md
   // §17). Keeping sequence and order identical is what makes the engine
-  // bit-identical to RadioEnvironment::SinrDb when the cull is off, in
-  // scalar and SIMD builds alike.
+  // bit-identical to RadioEnvironment::SinrDb, in scalar and SIMD builds
+  // alike.
   const double noise_mw = env_.NoiseMw(rx, bandwidth_hz_);
-  const double cull_floor_mw = noise_mw * cull_scale_;
   const GroupTerms& gt = group_terms_[static_cast<std::size_t>(group)];
   const std::size_t count = gt.node.size();
   // Presized index stores, not push_back: no per-element capacity branch
@@ -164,34 +150,15 @@ double InterferenceMap::AggregateDenomMw(RadioNodeId tx, RadioNodeId rx,
     const RadioNodeId node = gt.node[i];
     const double scale = gt.scale[i];
     if (node == tx || node == rx) continue;
-    if (graph_active_ && scale <= 1.0 && !neighbor_graph_->Contains(node, rx)) {
-      // Non-neighbor => mean rx power < floor, so power_scale <= 1 makes
-      // this exactly a term the check below would cull — same result, same
-      // counters, without touching the power cache.
-      culled_epoch_.fetch_add(1, std::memory_order_relaxed);
-      culled_total_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    const double p = env_.MeanRxPowerMw(node, rx) * scale;
-    if (p < cull_floor_mw) {  // never true with the cull off (p > 0 >= floor)
-      culled_epoch_.fetch_add(1, std::memory_order_relaxed);
-      culled_total_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    out[m++] = p;
+    out[m++] = env_.MeanRxPowerMw(node, rx) * scale;
   }
   return noise_mw + simd::BlockedSum8(out, m);
 }
 
 double InterferenceMap::SinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
-                               SimTime now, double signal_scale,
-                               std::vector<ActiveTransmitter>* scratch) const {
+                               SimTime now, double signal_scale) const {
   assert(subchannel >= 0 && subchannel < num_subchannels_);
   Seal();
-  // The cull's drop counters are observable, so a culled query always runs.
-  if (cull_scale_ > 0.0) {
-    return ComputeSinrDb(tx, rx, subchannel, now, signal_scale, scratch);
-  }
   if (rows_.size() < env_.node_count()) rows_.resize(env_.node_count());
   ReceiverRow& row = rows_[rx];
   if (row.sinr_memo.size() < static_cast<std::size_t>(num_subchannels_)) {
@@ -217,9 +184,7 @@ double InterferenceMap::SinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
     return slot.sinr_db;
   }
   ++row.memo_misses;
-  // `slot` stays valid: rows_ already covers node_count(), so
-  // ComputeSinrDb does not resize it.
-  const double sinr_db = ComputeSinrDb(tx, rx, subchannel, now, signal_scale, scratch);
+  const double sinr_db = ComputeSinrDb(tx, rx, subchannel, now, signal_scale);
   slot = key;
   slot.sinr_db = sinr_db;
   return sinr_db;
@@ -235,42 +200,15 @@ InterferenceMap::SinrMemoStats InterferenceMap::sinr_memo_stats() const {
 }
 
 double InterferenceMap::ComputeSinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
-                                      SimTime now, double signal_scale,
-                                      std::vector<ActiveTransmitter>* scratch) const {
-  const std::vector<ActiveTransmitter>& list =
-      per_subchannel_[static_cast<std::size_t>(subchannel)];
-
+                                      SimTime now, double signal_scale) const {
   if (env_.config().enable_fading) {
     // Fading is per (link, subchannel, time): the mean-power aggregate
     // cannot stand in for it, so sum per link over the shared list.
-    if (cull_scale_ <= 0.0) {
-      return env_.SinrDb(tx, rx, static_cast<std::uint32_t>(subchannel), now, list,
-                         bandwidth_hz_, signal_scale);
-    }
-    const double cull_floor_mw = env_.NoiseMw(rx, bandwidth_hz_) * cull_scale_;
-    std::vector<ActiveTransmitter>& survivors =
-        scratch != nullptr ? *scratch : cull_scratch_;
-    survivors.clear();
-    for (const ActiveTransmitter& it : list) {
-      if (it.node == tx || it.node == rx || it.power_scale <= 0.0) continue;
-      if (graph_active_ && it.power_scale <= 1.0 &&
-          !neighbor_graph_->Contains(it.node, rx)) {
-        culled_epoch_.fetch_add(1, std::memory_order_relaxed);
-        culled_total_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (env_.MeanRxPowerMw(it.node, rx) * it.power_scale < cull_floor_mw) {
-        culled_epoch_.fetch_add(1, std::memory_order_relaxed);
-        culled_total_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      survivors.push_back(it);
-    }
     return env_.SinrDb(tx, rx, static_cast<std::uint32_t>(subchannel), now,
-                       survivors, bandwidth_hz_, signal_scale);
+                       per_subchannel_[static_cast<std::size_t>(subchannel)],
+                       bandwidth_hz_, signal_scale);
   }
 
-  if (rows_.size() < env_.node_count()) rows_.resize(env_.node_count());
   ReceiverRow& row = rows_[rx];
   if (row.epoch != epoch_ || row.excluded != tx ||
       row.position_epoch != env_.position_epoch()) {

@@ -10,28 +10,25 @@
 //     subchannel) and shared by all receivers;
 //   * with fading disabled, a per-receiver aggregate denominator (noise +
 //     mean interference power, mW) per distinct transmitter list, cached in
-//     a lazily built receiver row;
-//   * an optional negligible-interferer cull
-//     (RadioEnvironmentConfig::interference_floor_db).
+//     a lazily built receiver row.
 //
-// Determinism contract: with culling off, SinrDb returns bit-identical
-// values to RadioEnvironment::SinrDb over the same interferer sequence,
-// which is what the tests use as the reference. Both gather contributing
-// terms from the same receiver-major rx-power cache rows in append order
-// and accumulate them in the fixed 8-lane blocked order of DESIGN.md §17
+// Determinism contract: SinrDb returns bit-identical values to
+// RadioEnvironment::SinrDb over the same interferer sequence, which is
+// what the tests use as the reference. Both gather contributing terms
+// from the same receiver-major rx-power cache rows in append order and
+// accumulate them in the fixed 8-lane blocked order of DESIGN.md §17
 // (contributing term i -> lane i mod 8, fixed lane-combine tree; here via
 // simd::BlockedSum8 over a compacted structure-of-arrays term row, in
 // RadioEnvironment::SinrDb via inline lanes) — the same floating-point
 // addition sequence, hence identical values, in scalar and SIMD builds
 // alike. Seal() interns every subchannel's list by content: equal lists
-// get the same 64-bit id, in this epoch and in every later one. Subchannels that share an id share
-// one aggregation (identical addition sequence, hence identical value),
-// and with the cull off each receiver memoizes its last SINR per
-// subchannel under a key that holds every input of the computation
-// (DESIGN.md §20), so a hit replays the exact double.
+// get the same 64-bit id, in this epoch and in every later one.
+// Subchannels that share an id share one aggregation (identical addition
+// sequence, hence identical value), and each receiver memoizes its last
+// SINR per subchannel under a key that holds every input of the
+// computation (DESIGN.md §20), so a hit replays the exact double.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -40,8 +37,6 @@
 #include "cellfi/radio/environment.h"
 
 namespace cellfi {
-
-class NeighborGraph;
 
 class InterferenceMap {
  public:
@@ -85,34 +80,19 @@ class InterferenceMap {
   /// per-subchannel fading term cannot be pre-aggregated — so the query
   /// falls back to per-link summation over the shared list.
   ///
-  /// With the cull off, either path runs only on a miss of the receiver's
-  /// SINR memo: one slot per subchannel, keyed by (list id, tx, fading
-  /// block, position epoch, signal_scale, bandwidth) — every input the
-  /// computation reads — so a hit returns the bit-identical double
-  /// (DESIGN.md §20).
+  /// Either path runs only on a miss of the receiver's SINR memo: one slot
+  /// per subchannel, keyed by (list id, tx, fading block, position epoch,
+  /// signal_scale, bandwidth) — every input the computation reads — so a
+  /// hit returns the bit-identical double (DESIGN.md §20).
   ///
   /// Thread safety (DESIGN.md §15): after a serial Seal(), concurrent
   /// SinrDb calls are safe as long as no two threads query the same
-  /// receiver `rx` — all mutable state is receiver-indexed except the cull
-  /// counters (relaxed atomics; their sums are order-independent) and the
-  /// fading-path cull scratch, for which concurrent callers must pass a
-  /// per-thread `scratch` buffer (nullptr = shared member, serial only).
+  /// receiver `rx` — every piece of state a query mutates belongs to its
+  /// receiver.
   // cellfi-purity: contract-root(parallel-shard-phase) InterferenceMap::SinrDb
   // cellfi-purity: contract-root(imap-sealed-read) InterferenceMap::SinrDb
   double SinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel, SimTime now,
-                double signal_scale,
-                std::vector<ActiveTransmitter>* scratch = nullptr) const;
-
-  /// Attach a prebuilt NeighborGraph as a cull fast path (nullptr
-  /// detaches). Checked at BeginEpoch and used only when it provably
-  /// changes nothing: the cull must be enabled and the graph must match
-  /// the environment's node count, floor and bandwidth and the current
-  /// position epoch. A non-neighbor at power_scale <= 1 is, by the graph's
-  /// construction, exactly a transmitter the cull would drop — so results
-  /// and cull counters are bit-identical with or without the graph.
-  void SetNeighborGraph(const NeighborGraph* graph) { neighbor_graph_ = graph; }
-  /// True if the current epoch is using the attached graph (test hook).
-  bool using_neighbor_graph() const { return graph_active_; }
+                double signal_scale) const;
 
   /// The shared transmitter list for one subchannel (bench/test hook).
   const std::vector<ActiveTransmitter>& transmitters(int subchannel) const {
@@ -122,18 +102,6 @@ class InterferenceMap {
   int num_subchannels() const { return num_subchannels_; }
   /// Distinct transmitter lists this epoch (valid once sealed).
   int num_groups() const { return num_groups_; }
-
-  /// Interference terms dropped by the cull in the current epoch / since
-  /// construction. With the cull disabled both stay 0. Relaxed atomics:
-  /// concurrent shard queries bump them in arbitrary order, but the sums
-  /// are order-independent, so the values read at the barrier are
-  /// deterministic for any shard count.
-  std::uint64_t culled_this_epoch() const {
-    return culled_epoch_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t culled_total() const {
-    return culled_total_.load(std::memory_order_relaxed);
-  }
 
   /// SINR memo hits and misses since construction, summed over receivers.
   /// Serial only: the counts live in the receiver-owned rows.
@@ -198,33 +166,24 @@ class InterferenceMap {
   };
 
   /// Aggregate denominator for aggregation group `group`: noise floor plus
-  /// the blocked-order sum (simd::BlockedSum8) of the surviving terms,
-  /// compacted into `terms` (the querying receiver's row scratch).
+  /// the blocked-order sum (simd::BlockedSum8) of every term except tx
+  /// and rx, compacted into `terms` (the querying receiver's row scratch).
   // cellfi-purity: contract-root(imap-sealed-read) InterferenceMap::AggregateDenomMw
   double AggregateDenomMw(RadioNodeId tx, RadioNodeId rx, int group,
                           std::vector<double>& terms) const;
-  /// The unmemoized SINR: the per-link path with fading on (through the
-  /// cull when enabled), the receiver's aggregate row with it off.
+  /// The unmemoized SINR: the per-link path with fading on, the
+  /// receiver's aggregate row with it off.
   double ComputeSinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel, SimTime now,
-                       double signal_scale,
-                       std::vector<ActiveTransmitter>* scratch) const;
+                       double signal_scale) const;
   /// The id of `list`'s content: found by hash and confirmed by an exact
   /// compare, or freshly assigned. Serial (called from Seal()).
   std::uint64_t Intern(const std::vector<ActiveTransmitter>& list) const;
-  /// The graph-vs-cull equivalence only holds when the graph describes the
-  /// current geometry and floor; recomputed each BeginEpoch.
-  bool GraphMatchesEpoch() const;
 
   const RadioEnvironment& env_;
   int num_subchannels_ = 0;
   double bandwidth_hz_ = 0.0;
-  /// Linear cull threshold relative to the receiver's noise floor:
-  /// interferer mean power < noise * cull_scale_ is dropped. 0 = cull off.
-  double cull_scale_ = 0.0;
   std::uint64_t epoch_ = 0;
   std::vector<std::vector<ActiveTransmitter>> per_subchannel_;
-  const NeighborGraph* neighbor_graph_ = nullptr;
-  bool graph_active_ = false;
 
   mutable bool sealed_ = false;
   mutable int num_groups_ = 0;
@@ -236,9 +195,6 @@ class InterferenceMap {
   mutable std::uint64_t next_list_id_ = 1;
   mutable std::vector<GroupTerms> group_terms_;  // group -> SoA term row
   mutable std::vector<ReceiverRow> rows_;
-  mutable std::vector<ActiveTransmitter> cull_scratch_;
-  mutable std::atomic<std::uint64_t> culled_epoch_{0};
-  mutable std::atomic<std::uint64_t> culled_total_{0};
 };
 
 }  // namespace cellfi

@@ -3,58 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
-#include "cellfi/common/units.h"
-
 namespace cellfi {
-
-void NeighborGraph::Build(const RadioEnvironment& env, double floor_db,
-                          double bandwidth_hz) {
-  n_ = env.node_count();
-  floor_db_ = floor_db;
-  bandwidth_hz_ = bandwidth_hz;
-  position_epoch_ = env.position_epoch();
-  bits_.assign((n_ * n_ + 63) / 64, 0);
-  lists_.assign(n_, {});
-  edges_ = 0;
-  if (n_ == 0) return;
-
-  // Same survivor predicate as InterferenceMap::AggregateDenomMw at
-  // power_scale = 1: mean rx power >= noise * 10^(-floor/10). floor <= 0
-  // disables the cull, so everything is a neighbor.
-  const double cull_scale = floor_db > 0.0 ? DbToLinear(-floor_db) : 0.0;
-  std::vector<double> floor_mw(n_, 0.0);
-  for (std::size_t rx = 0; rx < n_; ++rx) {
-    floor_mw[rx] =
-        env.NoiseMw(static_cast<RadioNodeId>(rx), bandwidth_hz) * cull_scale;
-  }
-
-  const auto set_bit = [this](std::size_t a, std::size_t b) {
-    const std::size_t bit = a * n_ + b;
-    bits_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
-  };
-  for (std::size_t a = 0; a < n_; ++a) {
-    for (std::size_t b = a + 1; b < n_; ++b) {
-      const RadioNodeId na = static_cast<RadioNodeId>(a);
-      const RadioNodeId nb = static_cast<RadioNodeId>(b);
-      // Union-symmetrized: audible in either direction makes the pair
-      // neighbors, so Contains(a, b) == Contains(b, a) by construction.
-      const bool neighbor =
-          env.MeanRxPowerMw(na, nb) >= floor_mw[b] ||
-          env.MeanRxPowerMw(nb, na) >= floor_mw[a];
-      if (!neighbor) continue;
-      set_bit(a, b);
-      set_bit(b, a);
-      lists_[a].push_back(nb);
-      lists_[b].push_back(na);
-      ++edges_;
-    }
-  }
-  // a < b insertion order already leaves each list ascending; keep the
-  // guarantee explicit against future edits.
-  for (std::vector<RadioNodeId>& list : lists_) {
-    std::sort(list.begin(), list.end());
-  }
-}
 
 ShardGrid::ShardGrid(const std::vector<Point>& cell_positions, int shards) {
   const std::size_t n = cell_positions.size();
@@ -86,20 +35,6 @@ ShardGrid::ShardGrid(const std::vector<Point>& cell_positions, int shards) {
     }
     std::sort(cells_[s].begin(), cells_[s].end());
   }
-}
-
-std::size_t CountCrossShardEdges(const NeighborGraph& graph, const ShardGrid& grid,
-                                 const std::vector<RadioNodeId>& cell_radios) {
-  std::size_t crossing = 0;
-  for (std::size_t a = 0; a < cell_radios.size(); ++a) {
-    for (std::size_t b = a + 1; b < cell_radios.size(); ++b) {
-      if (grid.shard_of(static_cast<int>(a)) == grid.shard_of(static_cast<int>(b))) {
-        continue;
-      }
-      if (graph.Contains(cell_radios[a], cell_radios[b])) ++crossing;
-    }
-  }
-  return crossing;
 }
 
 }  // namespace cellfi

@@ -1,17 +1,6 @@
 // Spatial sharding primitives for intra-replication parallelism
 // (DESIGN.md §15).
 //
-// NeighborGraph formalizes the PR 4 negligible-interferer cull into an
-// explicit, reusable structure: node `a` and node `b` are neighbors iff at
-// least one direction's mean received power clears the receiver's noise
-// floor scaled down by `floor_db` — exactly the survivor condition of the
-// InterferenceMap cull at power_scale = 1. Because every real transmission
-// radiates with power_scale <= 1, a non-neighbor can never survive the
-// cull, so the graph is a sound (no-false-negative) bound on which
-// transmitters can matter to which receivers. InterferenceMap uses it as a
-// provably result-identical fast path; the shard layer uses it to measure
-// cross-shard coupling.
-//
 // ShardGrid partitions the cell grid into K spatially contiguous, balanced
 // groups (sort by x, then y, then index; chunk). The partition only decides
 // WHICH thread computes a cell's subframe work — merge order at the
@@ -20,57 +9,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "cellfi/common/geometry.h"
-#include "cellfi/radio/environment.h"
 
 namespace cellfi {
-
-class NeighborGraph {
- public:
-  /// Build the graph over every node currently registered in `env`.
-  /// `floor_db` mirrors RadioEnvironmentConfig::interference_floor_db
-  /// (<= 0 makes every pair a neighbor — nothing is negligible);
-  /// `bandwidth_hz` is the per-subchannel bandwidth the noise floors are
-  /// evaluated over. Deterministic: fixed node-index iteration over cached
-  /// pure link quantities. Building touches every (tx, rx) pair, which
-  /// doubles as a prewarm of the environment's link caches.
-  void Build(const RadioEnvironment& env, double floor_db, double bandwidth_hz);
-
-  bool built() const { return n_ > 0; }
-  std::size_t node_count() const { return n_; }
-  double floor_db() const { return floor_db_; }
-  double bandwidth_hz() const { return bandwidth_hz_; }
-  /// env.position_epoch() at build time; a mismatch means node positions
-  /// changed since and the graph must be rebuilt before reuse.
-  std::uint64_t build_position_epoch() const { return position_epoch_; }
-
-  /// Symmetric adjacency test. Self-pairs are never neighbors.
-  bool Contains(RadioNodeId a, RadioNodeId b) const {
-    const std::size_t bit =
-        static_cast<std::size_t>(a) * n_ + static_cast<std::size_t>(b);
-    return (bits_[bit >> 6] >> (bit & 63)) & 1u;
-  }
-
-  /// Ascending neighbor ids of `id`.
-  const std::vector<RadioNodeId>& neighbors(RadioNodeId id) const {
-    return lists_[static_cast<std::size_t>(id)];
-  }
-
-  /// Undirected edge count (self excluded).
-  std::size_t edge_count() const { return edges_; }
-
- private:
-  std::size_t n_ = 0;
-  double floor_db_ = 0.0;
-  double bandwidth_hz_ = 0.0;
-  std::uint64_t position_epoch_ = 0;
-  std::vector<std::uint64_t> bits_;  // n*n adjacency, symmetric
-  std::vector<std::vector<RadioNodeId>> lists_;
-  std::size_t edges_ = 0;
-};
 
 /// Balanced spatially contiguous partition of the cell grid.
 class ShardGrid {
@@ -90,11 +33,5 @@ class ShardGrid {
   std::vector<int> shard_of_;
   std::vector<std::vector<int>> cells_;
 };
-
-/// Undirected neighbor edges between cells of different shards —
-/// `cell_radios[i]` is cell i's radio node. The coupling the subframe
-/// barrier has to exchange; a diagnostic for partition quality.
-std::size_t CountCrossShardEdges(const NeighborGraph& graph, const ShardGrid& grid,
-                                 const std::vector<RadioNodeId>& cell_radios);
 
 }  // namespace cellfi

@@ -85,8 +85,10 @@ struct ScenarioConfig {
   /// LTE-based run throws std::invalid_argument when this is `false`. It
   /// goes away together with the benchmark's copy of RunLteBased.
   bool use_interference_engine = true;
-  /// Negligible-interferer cull threshold (dB below the noise floor);
-  /// <= 0 keeps every interferer (exact arithmetic).
+  /// Checked input, copied to RadioEnvironmentConfig: an LTE-based run
+  /// throws std::invalid_argument when it is > 0 (the interferer floor it
+  /// used to set is gone). It goes away together with the benchmark's copy
+  /// of RunLteBased.
   double interference_floor_db = 0.0;
   /// Intra-replication spatial shards (DESIGN.md §15): the LTE cell grid
   /// is partitioned into this many groups whose subframe work can run on

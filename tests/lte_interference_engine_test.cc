@@ -1,10 +1,8 @@
 // The per-subframe interference engine's determinism contract (DESIGN.md
-// §12): with culling off, every path through InterferenceMap must be
-// BIT-identical to RadioEnvironment::SinrDb over the same interferer lists
-// — same doubles, not just close — across fading on/off, cell activity
-// toggles and mobility. The negligible-interferer cull is opt-in and
-// bounded: dropping terms >= 30 dB below the noise floor moves any SINR by
-// less than 0.01 dB.
+// §12): every path through InterferenceMap must be BIT-identical to
+// RadioEnvironment::SinrDb over the same interferer lists — same doubles,
+// not just close — across fading on/off, cell activity toggles and
+// mobility.
 #include "cellfi/radio/interference.h"
 
 #include <gtest/gtest.h>
@@ -26,12 +24,11 @@
 namespace cellfi {
 namespace {
 
-RadioEnvironmentConfig EnvConfig(bool fading, double floor_db = 0.0) {
+RadioEnvironmentConfig EnvConfig(bool fading) {
   RadioEnvironmentConfig c;
   c.carrier_freq_hz = 600e6;
   c.shadowing_sigma_db = 4.0;
   c.enable_fading = fading;
-  c.interference_floor_db = floor_db;
   c.seed = 21;
   return c;
 }
@@ -82,7 +79,6 @@ TEST_P(InterferenceMapTest, MatchesPerLinkSinrExactly) {
   }
   // All 13 lists are identical -> one aggregation group.
   EXPECT_EQ(imap.num_groups(), 1);
-  EXPECT_EQ(imap.culled_total(), 0u);
 }
 
 TEST_P(InterferenceMapTest, DistinctListsPerSubchannelStayExact) {
@@ -290,54 +286,9 @@ TEST_P(InterferenceMapMemoTest, MatchesUncachedOracleExactly) {
   }
   o.DownlinkEpoch(360e3);
   o.Check(tx, rx, t, kDl, "after overflow");
-  EXPECT_EQ(o.imap_.culled_total(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(FadingOnOff, InterferenceMapMemoTest, ::testing::Bool());
-
-TEST(InterferenceMapCullTest, DropsBelowFloorInterferersWithinEpsilon) {
-  // Two clusters 50 km apart under log-distance n=3.5: cross-cluster rx
-  // power lands ~50 dB below the subchannel noise floor, in-cluster power
-  // far above it. A 30 dB floor culls exactly the far cluster.
-  LogDistancePathLoss pathloss(3.5);
-  RadioEnvironmentConfig cfg = EnvConfig(/*fading=*/false, /*floor_db=*/30.0);
-  RadioEnvironment env(pathloss, cfg);
-  RadioEnvironmentConfig nocull_cfg = EnvConfig(/*fading=*/false);
-  RadioEnvironment ref_env(pathloss, nocull_cfg);
-
-  std::vector<ActiveTransmitter> all;
-  RadioNodeId rx = 0, tx = 0;
-  for (RadioEnvironment* e : {&env, &ref_env}) {
-    rx = e->AddNode({.position = {0, 0}});
-    tx = e->AddNode({.position = {200, 0}, .tx_power_dbm = 30});
-    all.clear();
-    all.push_back({e->AddNode({.position = {-300, 100}, .tx_power_dbm = 30}), 1.0 / 13.0});
-    all.push_back({e->AddNode({.position = {100, -250}, .tx_power_dbm = 30}), 1.0 / 13.0});
-    for (int i = 0; i < 4; ++i) {  // far cluster: negligible at rx
-      all.push_back({e->AddNode({.position = {50000.0 + 300.0 * i, 50000.0},
-                                 .tx_power_dbm = 30}),
-                     1.0 / 13.0});
-    }
-  }
-
-  InterferenceMap imap(env);
-  imap.BeginEpoch(13, 360e3);
-  for (int s = 0; s < 13; ++s) {
-    for (const ActiveTransmitter& t : all) imap.AddTransmitter(s, t.node, t.power_scale);
-  }
-  const double culled_sinr = imap.SinrDb(tx, rx, 0, 0, 1.0 / 13.0);
-  const double exact_sinr =
-      ref_env.SinrDb(tx, rx, 0, 0, all, 360e3, 1.0 / 13.0);
-  // 4 far interferers culled once (one aggregation group shared by all 13
-  // subchannels).
-  EXPECT_EQ(imap.culled_this_epoch(), 4u);
-  EXPECT_EQ(imap.culled_total(), 4u);
-  // Epsilon contract: each culled term is >= 30 dB below the noise floor,
-  // so the denominator shrinks by < 13 * 10^-3 relative — under 0.01 dB
-  // for any realistic list (documented in DESIGN.md §12).
-  EXPECT_NE(culled_sinr, exact_sinr);  // something was actually dropped
-  EXPECT_NEAR(culled_sinr, exact_sinr, 0.01);
-}
 
 // ---------------------------------------------------------------------------
 // Network-level reference: after every subframe, each connected UE's
@@ -511,7 +462,6 @@ TEST_P(NetworkReferenceTest, DownlinkSinrMatchesSinrDbReference) {
   EXPECT_EQ(r.mismatches_, 0u);
   EXPECT_GT(r.checked_ues_, 1000u);
   EXPECT_GT(r.multi_interferer_lists_, 1000u);  // order within a list mattered
-  EXPECT_EQ(r.net_.interference_culled_total(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(FadingOnOff, NetworkReferenceTest, ::testing::Bool());
@@ -523,6 +473,16 @@ TEST(InterferenceEngineConfigTest, NetworkRejectsEngineOff) {
   lte::LteNetworkConfig c = NetConfig();
   c.use_interference_engine = false;
   EXPECT_THROW({ lte::LteNetwork net(sim, env, c); }, std::invalid_argument);
+
+  // The removed cull's floor is checked input too: > 0 is rejected, while
+  // <= 0 (the old "cull off") is accepted.
+  RadioEnvironmentConfig floor_cfg = EnvConfig(/*fading=*/false);
+  floor_cfg.interference_floor_db = 30.0;
+  RadioEnvironment floor_env(pathloss, floor_cfg);
+  EXPECT_THROW({ lte::LteNetwork net(sim, floor_env, NetConfig()); }, std::invalid_argument);
+  floor_cfg.interference_floor_db = -3.0;
+  RadioEnvironment off_env(pathloss, floor_cfg);
+  EXPECT_NO_THROW({ lte::LteNetwork net(sim, off_env, NetConfig()); });
 }
 
 TEST(InterferenceEngineNetworkTest, SinrMemoHitsInSteadyFadingScenario) {
@@ -616,10 +576,10 @@ TEST_P(CqiReportOracleTest, EveryReportMatchesFormulaOnMeasuredSinr) {
 
 INSTANTIATE_TEST_SUITE_P(Mode30OnOff, CqiReportOracleTest, ::testing::Bool());
 
-scenario::ScenarioConfig ScenarioFor(scenario::Technology tech, bool fading,
-                                     double floor_db) {
+/// A small plain-LTE backlogged scenario, fading off.
+scenario::ScenarioConfig LteScenario() {
   scenario::ScenarioConfig cfg;
-  cfg.tech = tech;
+  cfg.tech = scenario::Technology::kLte;
   cfg.workload = scenario::WorkloadKind::kBacklogged;
   cfg.propagation = scenario::PropagationKind::kSuburbanUhf;
   cfg.topology.area_m = 1500.0;
@@ -631,29 +591,19 @@ scenario::ScenarioConfig ScenarioFor(scenario::Technology tech, bool fading,
   cfg.lte_tdd_config = 4;
   cfg.warmup = 1 * kSecond;
   cfg.duration = 3 * kSecond;
-  cfg.enable_fading = fading;
-  cfg.interference_floor_db = floor_db;
+  cfg.enable_fading = false;
   cfg.seed = 41;
   return cfg;
 }
 
 TEST(InterferenceEngineConfigTest, ScenarioRejectsEngineOff) {
-  scenario::ScenarioConfig cfg = ScenarioFor(scenario::Technology::kLte, false, 0.0);
+  scenario::ScenarioConfig cfg = LteScenario();
   cfg.use_interference_engine = false;
   EXPECT_THROW(scenario::RunScenario(cfg), std::invalid_argument);
-}
 
-TEST(InterferenceEngineScenarioTest, CullingStaysWithinTolerance) {
-  // A 30 dB below-noise floor perturbs each SINR by < 0.01 dB; end-to-end
-  // summaries must stay within a small relative band of the exact run
-  // (CQI quantization usually absorbs the perturbation entirely).
-  const auto exact = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kLte, false, 0.0));
-  const auto culled = scenario::RunScenario(
-      ScenarioFor(scenario::Technology::kLte, false, 30.0));
-  EXPECT_GT(exact.total_throughput_bps, 0.0);
-  EXPECT_NEAR(culled.total_throughput_bps / exact.total_throughput_bps, 1.0, 0.02);
-  EXPECT_NEAR(culled.fraction_connected, exact.fraction_connected, 0.11);
+  scenario::ScenarioConfig floor_cfg = LteScenario();
+  floor_cfg.interference_floor_db = 30.0;
+  EXPECT_THROW(scenario::RunScenario(floor_cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The intra-replication shard layer (DESIGN.md §15): the WorkerPool and
-// nested-parallelism guard, the NeighborGraph soundness bound, the
-// ShardGrid partition, and — the contract everything else exists to keep —
+// nested-parallelism guard, the ShardGrid partition, the per-pass shard
+// metrics, and — the contract everything else exists to keep —
 // scenario-level bit-identity across shard counts: sharding may only
 // change wall clock, never a single result byte.
 #include "cellfi/radio/shard_grid.h"
@@ -8,12 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
 #include "cellfi/lte/network.h"
+#include "cellfi/obs/metrics.h"
+#include "cellfi/obs/trace.h"
 #include "cellfi/radio/interference.h"
 #include "cellfi/radio/pathloss.h"
 #include "cellfi/scenario/harness.h"
@@ -132,105 +133,6 @@ TEST(ShardThreadsTest, DerivedDefaultRespectsActiveSweepThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// NeighborGraph
-// ---------------------------------------------------------------------------
-
-struct GraphWorld {
-  GraphWorld() : pathloss(3.5), env(pathloss, Config()) {
-    Rng rng(23);
-    // Two clusters 40 km apart: plenty of in-cluster neighbors, and
-    // cross-cluster pairs far below any reasonable floor.
-    for (int i = 0; i < 8; ++i) {
-      nodes.push_back(env.AddNode({.position = {rng.Uniform(-1000, 1000),
-                                                rng.Uniform(-1000, 1000)},
-                                   .tx_power_dbm = 30}));
-    }
-    for (int i = 0; i < 8; ++i) {
-      nodes.push_back(env.AddNode({.position = {40000.0 + rng.Uniform(-1000, 1000),
-                                                rng.Uniform(-1000, 1000)},
-                                   .tx_power_dbm = 30}));
-    }
-  }
-  static RadioEnvironmentConfig Config() {
-    RadioEnvironmentConfig c;
-    c.carrier_freq_hz = 600e6;
-    c.shadowing_sigma_db = 4.0;
-    c.enable_fading = false;
-    c.seed = 9;
-    return c;
-  }
-  LogDistancePathLoss pathloss;
-  RadioEnvironment env;
-  std::vector<RadioNodeId> nodes;
-};
-
-constexpr double kFloorDb = 30.0;
-constexpr double kBandwidthHz = 360e3;
-
-TEST(NeighborGraphTest, SymmetricAndSelfFree) {
-  GraphWorld w;
-  NeighborGraph g;
-  g.Build(w.env, kFloorDb, kBandwidthHz);
-  ASSERT_TRUE(g.built());
-  EXPECT_EQ(g.node_count(), w.env.node_count());
-  EXPECT_EQ(g.build_position_epoch(), w.env.position_epoch());
-  for (RadioNodeId a : w.nodes) {
-    EXPECT_FALSE(g.Contains(a, a));
-    for (RadioNodeId b : w.nodes) {
-      EXPECT_EQ(g.Contains(a, b), g.Contains(b, a)) << a << "," << b;
-    }
-  }
-  // In-cluster pairs connected, cross-cluster pairs culled.
-  EXPECT_TRUE(g.Contains(w.nodes[0], w.nodes[1]));
-  EXPECT_FALSE(g.Contains(w.nodes[0], w.nodes[8]));
-  EXPECT_GT(g.edge_count(), 0u);
-}
-
-TEST(NeighborGraphTest, NoFalseNegativesAgainstDenseCullReference) {
-  // Soundness bound: a non-neighbor pair must fail the InterferenceMap
-  // cull survivor condition in BOTH directions at power_scale = 1 (the
-  // strongest any transmission can radiate). A neighbor must pass it in at
-  // least one direction. This is the exact dense O(n^2) predicate the
-  // graph exists to precompute.
-  GraphWorld w;
-  NeighborGraph g;
-  g.Build(w.env, kFloorDb, kBandwidthHz);
-  const double scale = std::pow(10.0, -kFloorDb / 10.0);
-  for (RadioNodeId a : w.nodes) {
-    for (RadioNodeId b : w.nodes) {
-      if (a == b) continue;
-      const bool survives_at_b =
-          w.env.MeanRxPowerMw(a, b) >= w.env.NoiseMw(b, kBandwidthHz) * scale;
-      const bool survives_at_a =
-          w.env.MeanRxPowerMw(b, a) >= w.env.NoiseMw(a, kBandwidthHz) * scale;
-      EXPECT_EQ(g.Contains(a, b), survives_at_b || survives_at_a)
-          << "pair " << a << "," << b;
-    }
-  }
-}
-
-TEST(NeighborGraphTest, DeterministicBuildAndSortedLists) {
-  GraphWorld w;
-  NeighborGraph g1, g2;
-  g1.Build(w.env, kFloorDb, kBandwidthHz);
-  g2.Build(w.env, kFloorDb, kBandwidthHz);
-  EXPECT_EQ(g1.edge_count(), g2.edge_count());
-  for (RadioNodeId n : w.nodes) {
-    const auto& l1 = g1.neighbors(n);
-    EXPECT_EQ(l1, g2.neighbors(n));
-    for (std::size_t i = 1; i < l1.size(); ++i) EXPECT_LT(l1[i - 1], l1[i]);
-  }
-}
-
-TEST(NeighborGraphTest, NonPositiveFloorConnectsEverything) {
-  GraphWorld w;
-  NeighborGraph g;
-  g.Build(w.env, 0.0, kBandwidthHz);
-  const std::size_t n = w.nodes.size();
-  EXPECT_EQ(g.edge_count(), n * (n - 1) / 2);
-}
-
-// ---------------------------------------------------------------------------
 // ShardGrid
 // ---------------------------------------------------------------------------
 
@@ -275,27 +177,34 @@ TEST(ShardGridTest, ClampsShardCountToCells) {
   EXPECT_EQ(one.cells(0).size(), 3u);
 }
 
-TEST(ShardGridTest, CrossShardEdgesCountsOnlyCellPairsAcrossShards) {
-  GraphWorld w;  // 16 nodes, two clusters
-  NeighborGraph g;
-  g.Build(w.env, kFloorDb, kBandwidthHz);
-  std::vector<Point> pos;
-  for (RadioNodeId n : w.nodes) pos.push_back(w.env.node(n).position);
-  // One shard: nothing crosses.
-  EXPECT_EQ(CountCrossShardEdges(g, ShardGrid(pos, 1), w.nodes), 0u);
-  // Two shards over two far-apart clusters: the spatial sort puts each
-  // cluster in its own shard and no neighbor edge crosses them.
-  EXPECT_EQ(CountCrossShardEdges(g, ShardGrid(pos, 2), w.nodes), 0u);
-  // Four shards split each cluster in half: now in-cluster edges cross.
-  EXPECT_GT(CountCrossShardEdges(g, ShardGrid(pos, 4), w.nodes), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // InterferenceMap epoch-freeze contract (release-build check)
 // ---------------------------------------------------------------------------
 
+/// Three transmit-capable nodes 300 m apart.
+struct SealWorld {
+  SealWorld() : pathloss(3.5), env(pathloss, Config()) {
+    for (int i = 0; i < 3; ++i) {
+      nodes.push_back(env.AddNode({.position = {300.0 * i, 0}, .tx_power_dbm = 30}));
+    }
+  }
+  static RadioEnvironmentConfig Config() {
+    RadioEnvironmentConfig c;
+    c.carrier_freq_hz = 600e6;
+    c.shadowing_sigma_db = 4.0;
+    c.enable_fading = false;
+    c.seed = 9;
+    return c;
+  }
+  LogDistancePathLoss pathloss;
+  RadioEnvironment env;
+  std::vector<RadioNodeId> nodes;
+};
+
+constexpr double kBandwidthHz = 360e3;
+
 TEST(InterferenceMapSealTest, AddTransmitterAfterSealThrows) {
-  GraphWorld w;
+  SealWorld w;
   InterferenceMap imap(w.env);
   imap.BeginEpoch(13, kBandwidthHz);
   imap.AddTransmitter(0, w.nodes[0], 1.0);
@@ -307,7 +216,7 @@ TEST(InterferenceMapSealTest, AddTransmitterAfterSealThrows) {
 }
 
 TEST(InterferenceMapSealTest, FirstQuerySealsImplicitly) {
-  GraphWorld w;
+  SealWorld w;
   InterferenceMap imap(w.env);
   imap.BeginEpoch(13, kBandwidthHz);
   imap.AddTransmitter(0, w.nodes[0], 1.0);
@@ -316,11 +225,63 @@ TEST(InterferenceMapSealTest, FirstQuerySealsImplicitly) {
 }
 
 // ---------------------------------------------------------------------------
+// Per-pass shard metrics
+// ---------------------------------------------------------------------------
+
+TEST(ShardMetricsTest, CqiPassReportsItsOwnPerShardImbalance) {
+  // Two cells 5 km apart, one per shard; cell 0 serves one UE and cell 1
+  // two. Nothing is offered, so no subframe stages a transmission and
+  // every imbalance sample comes from the CQI pass: (2 - 1) / 2 = 0.5.
+  HataUrbanPathLoss pathloss;
+  RadioEnvironmentConfig env_cfg;
+  env_cfg.enable_fading = false;
+  env_cfg.seed = 5;
+  RadioEnvironment env(pathloss, env_cfg);
+  Simulator sim;
+  lte::LteNetworkConfig net_cfg;
+  net_cfg.shards = 2;
+  net_cfg.shard_threads = 2;
+  lte::LteNetwork net(sim, env, net_cfg);
+  lte::LteMacConfig mac;
+  mac.bandwidth = LteBandwidth::k5MHz;
+  mac.tdd_config = 4;
+  for (double x : {0.0, 5000.0}) {
+    const lte::CellId cell = net.AddCell(
+        mac, env.AddNode({.position = {x, 0}, .antenna = Antenna::Omni(6.0),
+                          .tx_power_dbm = 30.0}));
+    for (int u = 0; u <= cell; ++u) {
+      net.AddUe(env.AddNode({.position = {x + 100.0 + 50.0 * u, 0}, .tx_power_dbm = 20.0}),
+                cell);
+    }
+  }
+
+  obs::MetricsRegistry metrics;
+  obs::ObsScope scope(nullptr, &metrics);
+  net.Start();
+  sim.RunUntil(500 * kMillisecond);  // attach; UEs connect at different times
+  ASSERT_EQ(net.shard_count(), 2);
+  for (lte::UeId ue = 0; ue < 3; ++ue) {
+    ASSERT_EQ(net.ue(ue).state, lte::UeState::kConnected) << "ue " << ue;
+  }
+  const obs::MetricsRegistry::HistogramData* imbalance =
+      metrics.histogram("lte.shard.imbalance");
+  const std::uint64_t total_before = imbalance != nullptr ? imbalance->total : 0;
+  const double sum_before = imbalance != nullptr ? imbalance->sum : 0.0;
+
+  sim.RunUntil(1500 * kMillisecond);
+  imbalance = metrics.histogram("lte.shard.imbalance");
+  ASSERT_NE(imbalance, nullptr);
+  const std::uint64_t samples = imbalance->total - total_before;
+  EXPECT_GT(samples, 100u);
+  EXPECT_EQ(imbalance->sum - sum_before, 0.5 * static_cast<double>(samples));
+}
+
+// ---------------------------------------------------------------------------
 // Scenario-level bit-identity across shard counts
 // ---------------------------------------------------------------------------
 
 scenario::ScenarioConfig ShardScenario(scenario::Technology tech, bool fading,
-                                       double floor_db, int shards) {
+                                       int shards) {
   scenario::ScenarioConfig cfg;
   cfg.tech = tech;
   cfg.workload = scenario::WorkloadKind::kBacklogged;
@@ -335,7 +296,6 @@ scenario::ScenarioConfig ShardScenario(scenario::Technology tech, bool fading,
   cfg.warmup = 1 * kSecond;
   cfg.duration = 3 * kSecond;
   cfg.enable_fading = fading;
-  cfg.interference_floor_db = floor_db;
   cfg.shards = shards;
   // Pin 4 worker threads so the sharded variants exercise REAL
   // multi-threading (and race under TSan if anything is wrong) even on
@@ -361,11 +321,11 @@ void ExpectBitIdentical(const scenario::ScenarioResult& a,
 
 TEST(ShardBitIdentityTest, AnyShardCountMatchesUnshardedNoFading) {
   const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, false, 0.0, 1));
+      ShardScenario(scenario::Technology::kLte, false, 1));
   EXPECT_GT(ref.total_throughput_bps, 0.0);
   for (int shards : {2, 4, 8}) {
     const auto sharded = scenario::RunScenario(
-        ShardScenario(scenario::Technology::kLte, false, 0.0, shards));
+        ShardScenario(scenario::Technology::kLte, false, shards));
     ExpectBitIdentical(ref, sharded,
                        ("shards=" + std::to_string(shards)).c_str());
   }
@@ -375,38 +335,27 @@ TEST(ShardBitIdentityTest, FadingPathStaysBitIdentical) {
   // Fading falls back to per-link SINR inside the engine; the staged
   // parallel queries must still commit in the identical order.
   const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, true, 0.0, 1));
+      ShardScenario(scenario::Technology::kLte, true, 1));
   const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, true, 0.0, 4));
+      ShardScenario(scenario::Technology::kLte, true, 4));
   ExpectBitIdentical(ref, sharded, "fading shards=4");
-}
-
-TEST(ShardBitIdentityTest, CullFastPathStaysBitIdenticalAcrossShards) {
-  // With the 30 dB floor the NeighborGraph fast path is active; sharding
-  // must not change which interferers are culled (counters are summed
-  // order-independently, results merged in cell order).
-  const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, false, 30.0, 1));
-  const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLte, false, 30.0, 4));
-  ExpectBitIdentical(ref, sharded, "cull30 shards=4");
 }
 
 TEST(ShardBitIdentityTest, LbtSerialGateUnaffectedByShards) {
   // LAA/LBT draws its carrier-sense gate from the shared RNG; the serial
   // phase-1a gate loop must keep the draw sequence identical for any K.
   const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLaaLte, false, 0.0, 1));
+      ShardScenario(scenario::Technology::kLaaLte, false, 1));
   const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kLaaLte, false, 0.0, 4));
+      ShardScenario(scenario::Technology::kLaaLte, false, 4));
   ExpectBitIdentical(ref, sharded, "laa shards=4");
 }
 
 TEST(ShardBitIdentityTest, CellFiControllerStackUnaffectedByShards) {
   const auto ref = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kCellFi, false, 0.0, 1));
+      ShardScenario(scenario::Technology::kCellFi, false, 1));
   const auto sharded = scenario::RunScenario(
-      ShardScenario(scenario::Technology::kCellFi, false, 0.0, 4));
+      ShardScenario(scenario::Technology::kCellFi, false, 4));
   ExpectBitIdentical(ref, sharded, "cellfi shards=4");
 }
 
@@ -415,7 +364,7 @@ TEST(ShardBitIdentityTest, AggregateLoadTierUnaffectedByShards) {
   // and runs serially on the event loop: its PRB reservations and PRACH
   // injections must be invisible to the shard partition.
   auto with_agg = [](int shards) {
-    auto cfg = ShardScenario(scenario::Technology::kCellFi, false, 0.0,
+    auto cfg = ShardScenario(scenario::Technology::kCellFi, false,
                              shards);
     cfg.aggregate_load.users_per_cell = 300;
     cfg.aggregate_load.activity_jitter = 0.2;

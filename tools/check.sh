@@ -29,8 +29,8 @@
 #            supervisor) under the ASan+UBSan build. Implies the sanitize
 #            configure even with --fast.
 #   --shard  additionally build the sanitize-tsan preset and run the shard
-#            suite (`ctest -L shard`: worker pool, neighbor graph, shard
-#            grid, multi-threaded subframe bit-identity across shard
+#            suite (`ctest -L shard`: worker pool, shard grid, shard
+#            metrics, multi-threaded subframe bit-identity across shard
 #            counts) under ThreadSanitizer — the data-race gate for
 #            DESIGN.md §15.
 #   --simd   additionally build the simd-off preset (CELLFI_SIMD=OFF,
