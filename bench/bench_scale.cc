@@ -2,7 +2,7 @@
 // (DESIGN.md §12) and the intra-replication shard layer (DESIGN.md §15):
 // plain-LTE backlogged scenarios at constant AP density, resolved over
 // identical topologies and seeds as —
-//   engine         shared per-subchannel lists + cached aggregates,
+//   engine         shared per-subchannel lists + the exact SINR memo,
 //                  shards=1 (label kept from PR 4 for baseline diffing),
 //   engine_sK      engine partitioned into K spatial shards, subframe
 //                  phases on the shard worker pool (K from
@@ -61,10 +61,10 @@ std::vector<int> ShardCounts() {
 ScenarioConfig ScaleConfig(int num_aps, std::uint64_t seed) {
   // Fig. 9 propagation and powers, but constant AP density (the area grows
   // with sqrt(n)) so per-cell interferer counts — not coverage geometry —
-  // are what changes across the sweep. Fading is off: the aggregate-cache
-  // fast path is what this bench characterizes, and the bit-identity
-  // checks stay meaningful either way (fading runs the same merge order
-  // through the engine's per-link fallback). Sim durations shrink with
+  // are what changes across the sweep. Fading is off, so the bench
+  // measures the memoized engine where a receiver's SINR misses only when
+  // a list changes; the bit-identity checks stay meaningful either way
+  // (fading runs the same merge order). Sim durations shrink with
   // cell count so the 1024-cell points stay runnable; every variant at one
   // count shares the duration, so speedups are unaffected.
   ScenarioConfig cfg = BaseConfig(Technology::kLte, num_aps, 3, seed);

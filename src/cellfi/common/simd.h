@@ -1,14 +1,12 @@
 // Portable SIMD kernel layer (DESIGN.md §17).
 //
-// Small fixed-contract numeric kernels shared by the SINR hot path
-// (blocked denominator accumulation), the split-complex FFT butterflies
-// (`common/fft.cc`) and the PRACH spectrum correlator (`phy/prach.cc`).
-// Every kernel comes in two forms:
+// Small fixed-contract numeric kernels shared by the split-complex FFT
+// butterflies (`common/fft.cc`) and the PRACH spectrum correlator
+// (`phy/prach.cc`), plus the lane-combine tree of the SINR denominator's
+// blocked accumulation order. Every kernel comes in two forms:
 //
-//   *Scalar   the reference implementation. Defines the semantics — in
-//             particular the FIXED 8-lane blocked accumulation order for
-//             reductions — and is compiled identically whether or not
-//             SIMD is enabled.
+//   *Scalar   the reference implementation. Defines the semantics and is
+//             compiled identically whether or not SIMD is enabled.
 //   (plain)   the dispatching entry point. With CELLFI_SIMD=ON (the
 //             default, compile definition CELLFI_SIMD_ENABLED) it selects
 //             AVX2 or SSE2 on x86-64 (runtime cpuid check) or NEON on
@@ -17,18 +15,17 @@
 //
 // Bit-identity contract: for every kernel, the vector variants perform
 // exactly the same IEEE-754 operations per element in exactly the same
-// order as the scalar reference — reductions use the 8-lane blocked order
-// below in all variants, and no variant uses FMA contraction (the AVX2
-// functions are compiled with target("avx2"), which does not enable FMA).
-// Scalar and SIMD builds are therefore bit-identical by construction;
-// `ctest -L simd` (check.sh --simd) verifies it on the host, including a
-// cross-build digest comparison between CELLFI_SIMD=OFF and ON trees.
+// order as the scalar reference, and no variant uses FMA contraction (the
+// AVX2 functions are compiled with target("avx2"), which does not enable
+// FMA). Scalar and SIMD builds are therefore bit-identical by
+// construction; `ctest -L simd` (check.sh --simd) verifies it on the host,
+// including a cross-build digest comparison between CELLFI_SIMD=OFF and
+// ON trees.
 //
-// Blocked accumulation order (the §17 contract, shared verbatim by
-// RadioEnvironment::SinrDb, InterferenceMap::AggregateDenomMw and
-// BlockedSum8*): a sequence x[0..n) is accumulated into 8 lanes, element
-// i into lane (i mod 8), each lane summing its elements in increasing
-// index order; lanes then combine with the fixed tree
+// Blocked accumulation order (RadioEnvironment::SinrDb's denominator): a
+// sequence x[0..n) is accumulated into 8 lanes, element i into lane
+// (i mod 8), each lane summing its elements in increasing index order;
+// lanes then combine with the fixed tree ReduceLanes8
 //   ((l0+l1) + (l2+l3)) + ((l4+l5) + (l6+l7)).
 //
 // Thread safety: all kernels are pure functions of their arguments.
@@ -94,31 +91,10 @@ inline const char* ActiveKernelName() {
 #endif
 }
 
-/// The fixed lane-combine tree of the blocked accumulation order. Shared
-/// by every reduction variant AND by callers that accumulate lanes inline
-/// (RadioEnvironment::SinrDb), so the tree can never drift between them.
+/// The fixed lane-combine tree of the blocked accumulation order
+/// (RadioEnvironment::SinrDb accumulates its lanes inline).
 inline double ReduceLanes8(const double* l) {
   return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
-}
-
-/// Reference blocked sum: element i -> lane (i mod 8), ReduceLanes8 tree.
-// cellfi-purity: contract-root(imap-sealed-read) simd::BlockedSum8Scalar
-// cellfi-purity: contract-root(parallel-shard-phase) simd::BlockedSum8Scalar
-inline double BlockedSum8Scalar(const double* x, std::size_t n) {
-  double l[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    l[0] += x[i + 0];
-    l[1] += x[i + 1];
-    l[2] += x[i + 2];
-    l[3] += x[i + 3];
-    l[4] += x[i + 4];
-    l[5] += x[i + 5];
-    l[6] += x[i + 6];
-    l[7] += x[i + 7];
-  }
-  for (std::size_t j = 0; i < n; ++i, ++j) l[j] += x[i];
-  return ReduceLanes8(l);
 }
 
 /// Reference split-complex butterfly block: for k in [0, half),
@@ -181,45 +157,6 @@ inline void ScaleScalar(double* x, std::size_t n, double s) {
 #if defined(CELLFI_SIMD_X86)
 
 namespace detail {
-
-[[gnu::target("avx2")]] inline double BlockedSum8Avx2(const double* x,
-                                                      std::size_t n) {
-  // Lanes 0-3 in acc_lo, 4-7 in acc_hi; per-lane add order matches the
-  // scalar reference exactly (increasing index within each lane).
-  __m256d acc_lo = _mm256_setzero_pd();
-  __m256d acc_hi = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc_lo = _mm256_add_pd(acc_lo, _mm256_loadu_pd(x + i));
-    acc_hi = _mm256_add_pd(acc_hi, _mm256_loadu_pd(x + i + 4));
-  }
-  double l[8];
-  _mm256_storeu_pd(l, acc_lo);
-  _mm256_storeu_pd(l + 4, acc_hi);
-  for (std::size_t j = 0; i < n; ++i, ++j) l[j] += x[i];
-  return ReduceLanes8(l);
-}
-
-inline double BlockedSum8Sse2(const double* x, std::size_t n) {
-  __m128d a01 = _mm_setzero_pd();
-  __m128d a23 = _mm_setzero_pd();
-  __m128d a45 = _mm_setzero_pd();
-  __m128d a67 = _mm_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    a01 = _mm_add_pd(a01, _mm_loadu_pd(x + i));
-    a23 = _mm_add_pd(a23, _mm_loadu_pd(x + i + 2));
-    a45 = _mm_add_pd(a45, _mm_loadu_pd(x + i + 4));
-    a67 = _mm_add_pd(a67, _mm_loadu_pd(x + i + 6));
-  }
-  double l[8];
-  _mm_storeu_pd(l + 0, a01);
-  _mm_storeu_pd(l + 2, a23);
-  _mm_storeu_pd(l + 4, a45);
-  _mm_storeu_pd(l + 6, a67);
-  for (std::size_t j = 0; i < n; ++i, ++j) l[j] += x[i];
-  return ReduceLanes8(l);
-}
 
 [[gnu::target("avx2")]] inline void ButterflyBlockAvx2(double* re, double* im,
                                                        const double* tw_re,
@@ -364,27 +301,6 @@ inline void ScaleSse2(double* x, std::size_t n, double s) {
 
 namespace detail {
 
-inline double BlockedSum8Neon(const double* x, std::size_t n) {
-  float64x2_t a01 = vdupq_n_f64(0.0);
-  float64x2_t a23 = vdupq_n_f64(0.0);
-  float64x2_t a45 = vdupq_n_f64(0.0);
-  float64x2_t a67 = vdupq_n_f64(0.0);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    a01 = vaddq_f64(a01, vld1q_f64(x + i));
-    a23 = vaddq_f64(a23, vld1q_f64(x + i + 2));
-    a45 = vaddq_f64(a45, vld1q_f64(x + i + 4));
-    a67 = vaddq_f64(a67, vld1q_f64(x + i + 6));
-  }
-  double l[8];
-  vst1q_f64(l + 0, a01);
-  vst1q_f64(l + 2, a23);
-  vst1q_f64(l + 4, a45);
-  vst1q_f64(l + 6, a67);
-  for (std::size_t j = 0; i < n; ++i, ++j) l[j] += x[i];
-  return ReduceLanes8(l);
-}
-
 inline void ButterflyBlockNeon(double* re, double* im, const double* tw_re,
                                const double* tw_im, std::size_t half) {
   std::size_t k = 0;
@@ -447,24 +363,6 @@ inline void ScaleNeon(double* x, std::size_t n, double s) {
 }  // namespace detail
 
 #endif  // CELLFI_SIMD_NEON
-
-/// Blocked sum of x[0..n) in the §17 fixed 8-lane order. This is the SINR
-/// aggregate-denominator accumulation kernel; it runs inside sealed
-/// InterferenceMap reads on shard workers, so it must stay a pure
-/// function of its arguments (see tools/purity_rules/contracts.json).
-// cellfi-purity: contract-root(imap-sealed-read) simd::BlockedSum8
-// cellfi-purity: contract-root(parallel-shard-phase) simd::BlockedSum8
-inline double BlockedSum8(const double* x, std::size_t n) {
-#if defined(CELLFI_SIMD_X86)
-  if (!detail::ForceScalarFlag()) {
-    if (detail::HaveAvx2()) return detail::BlockedSum8Avx2(x, n);
-    return detail::BlockedSum8Sse2(x, n);
-  }
-#elif defined(CELLFI_SIMD_NEON)
-  if (!detail::ForceScalarFlag()) return detail::BlockedSum8Neon(x, n);
-#endif
-  return BlockedSum8Scalar(x, n);
-}
 
 /// One split-complex butterfly block (see ButterflyBlockScalar).
 inline void ButterflyBlock(double* re, double* im, const double* tw_re,

@@ -315,7 +315,7 @@ void LteNetwork::BuildDownlinkMap() const {
   }
   // The map is only ever built here, with every append above: sealing at
   // this (serial) point guarantees concurrent shard queries never mutate
-  // the shared group/row storage lazily.
+  // the shared intern/row storage lazily.
   imap_.Seal();
   dl_map_valid_ = true;
 }

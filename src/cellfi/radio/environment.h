@@ -101,7 +101,7 @@ class RadioEnvironment {
   double NoiseMw(RadioNodeId rx, double bandwidth_hz) const;
 
   /// Monotonic stamp bumped by every AddNode/MoveNode. Consumers that
-  /// cache geometry-derived values (InterferenceMap rows, the LTE CRS
+  /// cache geometry-derived values (the InterferenceMap SINR memo, the LTE CRS
   /// penalty cache) compare it to detect mobility invalidation.
   std::uint64_t position_epoch() const { return position_epoch_; }
 
@@ -111,6 +111,8 @@ class RadioEnvironment {
   /// transmitter's total power radiated in the measured band (e.g. 1/13 for
   /// one of 13 subchannels under flat PSD, or 1/n_alloc for an uplink
   /// transmission concentrating full power into n_alloc subchannels).
+  /// InterferenceMap (DESIGN.md §12) is interning + an exact memo over
+  /// this one computation.
   ///
   /// Fills `rx`'s lazily cached state: its mean rx-power row, noise memo
   /// and fading memo. Concurrent calls are safe only for distinct

@@ -1,22 +1,23 @@
 #include "cellfi/radio/interference.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <stdexcept>
-
-#include "cellfi/common/simd.h"
-#include "cellfi/common/units.h"
 
 namespace cellfi {
 
 namespace {
 
+constexpr std::size_t kInternIndexSlots = 2 * InterferenceMap::kInternCapacity;
+static_assert(std::has_single_bit(kInternIndexSlots));
+
 // Exact content equality, bit for bit, so that equal lists are
 // interchangeable inputs to every SINR computation.
-bool SameList(const std::vector<ActiveTransmitter>& a,
+bool SameList(const ActiveTransmitter* a, std::size_t length,
               const std::vector<ActiveTransmitter>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
+  if (length != b.size()) return false;
+  for (std::size_t i = 0; i < length; ++i) {
     if (a[i].node != b[i].node || std::bit_cast<std::uint64_t>(a[i].power_scale) !=
                                       std::bit_cast<std::uint64_t>(b[i].power_scale)) {
       return false;
@@ -37,10 +38,10 @@ std::uint64_t HashList(const std::vector<ActiveTransmitter>& list) {
 
 }  // namespace
 
-InterferenceMap::InterferenceMap(const RadioEnvironment& env) : env_(env) {}
+InterferenceMap::InterferenceMap(const RadioEnvironment& env)
+    : env_(env), intern_index_(kInternIndexSlots, 0) {}
 
 void InterferenceMap::BeginEpoch(int num_subchannels, double bandwidth_hz) {
-  ++epoch_;
   num_subchannels_ = num_subchannels;
   bandwidth_hz_ = bandwidth_hz;
   if (per_subchannel_.size() < static_cast<std::size_t>(num_subchannels)) {
@@ -50,7 +51,6 @@ void InterferenceMap::BeginEpoch(int num_subchannels, double bandwidth_hz) {
     per_subchannel_[static_cast<std::size_t>(s)].clear();
   }
   sealed_ = false;
-  num_groups_ = 0;
 }
 
 void InterferenceMap::AddTransmitter(int subchannel, RadioNodeId node,
@@ -58,11 +58,11 @@ void InterferenceMap::AddTransmitter(int subchannel, RadioNodeId node,
   if (sealed_) {
     // Release-build CHECK, not an assert: sharded producers stage appends
     // off-thread and merge at the barrier, where an append-after-Seal slips
-    // in easily and silently desynchronizes the aggregation groups from
-    // the lists they were computed over.
+    // in easily and silently desynchronizes the list ids from the lists
+    // they were computed over.
     throw std::logic_error(
         "InterferenceMap::AddTransmitter called after Seal(): the epoch's "
-        "transmitter lists are frozen once grouped (first SinrDb or explicit "
+        "transmitter lists are frozen once interned (first SinrDb or explicit "
         "Seal); call BeginEpoch before appending to a new epoch");
   }
   assert(subchannel >= 0 && subchannel < num_subchannels_);
@@ -73,44 +73,10 @@ void InterferenceMap::AddTransmitter(int subchannel, RadioNodeId node,
 void InterferenceMap::Seal() const {
   if (sealed_) return;
   sealed_ = true;
-  // Subchannels with the same interned id have the same list, so they
-  // share one aggregation group.
   list_id_.resize(static_cast<std::size_t>(num_subchannels_));
-  group_of_.assign(static_cast<std::size_t>(num_subchannels_), 0);
-  group_rep_.clear();
-  num_groups_ = 0;
   for (int s = 0; s < num_subchannels_; ++s) {
-    const std::uint64_t id = Intern(per_subchannel_[static_cast<std::size_t>(s)]);
-    list_id_[static_cast<std::size_t>(s)] = id;
-    int group = 0;
-    while (group < num_groups_ &&
-           list_id_[static_cast<std::size_t>(group_rep_[static_cast<std::size_t>(group)])] !=
-               id) {
-      ++group;
-    }
-    if (group == num_groups_) {
-      ++num_groups_;
-      group_rep_.push_back(s);
-    }
-    group_of_[static_cast<std::size_t>(s)] = group;
-  }
-  // Flatten each group's representative list into structure-of-arrays term
-  // rows. power_scale <= 0 entries are dropped here once — both query
-  // paths skip them unconditionally, so the contributing-term sequence is
-  // unchanged — leaving the aggregation two dense arrays to stream.
-  if (group_terms_.size() < static_cast<std::size_t>(num_groups_)) {
-    group_terms_.resize(static_cast<std::size_t>(num_groups_));
-  }
-  for (int g = 0; g < num_groups_; ++g) {
-    GroupTerms& gt = group_terms_[static_cast<std::size_t>(g)];
-    gt.node.clear();
-    gt.scale.clear();
-    for (const ActiveTransmitter& it : per_subchannel_[static_cast<std::size_t>(
-             group_rep_[static_cast<std::size_t>(g)])]) {
-      if (it.power_scale <= 0.0) continue;
-      gt.node.push_back(it.node);
-      gt.scale.push_back(it.power_scale);
-    }
+    list_id_[static_cast<std::size_t>(s)] =
+        Intern(per_subchannel_[static_cast<std::size_t>(s)]);
   }
   // Presize the receiver rows here, at the (serial) barrier, so concurrent
   // queries never see a resize — each worker then only writes the rows of
@@ -121,38 +87,28 @@ void InterferenceMap::Seal() const {
 std::uint64_t InterferenceMap::Intern(
     const std::vector<ActiveTransmitter>& list) const {
   const std::uint64_t hash = HashList(list);
-  const auto [first, last] = interned_.equal_range(hash);
-  for (auto it = first; it != last; ++it) {
-    if (SameList(it->second.list, list)) return it->second.id;
+  // Linear probing; the index is at most half full, so a probe ends.
+  constexpr std::size_t kMask = kInternIndexSlots - 1;
+  std::size_t i = static_cast<std::size_t>(hash) & kMask;
+  for (; intern_index_[i] != 0; i = (i + 1) & kMask) {
+    const InternEntry& e = intern_entries_[intern_index_[i] - 1];
+    if (e.hash == hash && SameList(intern_arena_.data() + e.offset, e.length, list)) {
+      return e.id;
+    }
   }
-  if (interned_.size() >= kInternCapacity) interned_.clear();
-  return interned_.emplace(hash, InternedList{next_list_id_++, list})->second.id;
-}
-
-double InterferenceMap::AggregateDenomMw(RadioNodeId tx, RadioNodeId rx,
-                                         int group,
-                                         std::vector<double>& terms) const {
-  // Same contributing-term sequence as RadioEnvironment::SinrDb — the same
-  // cached mean powers gathered in list order — compacted into `terms` and
-  // summed in the fixed 8-lane blocked order (simd::BlockedSum8, DESIGN.md
-  // §17). Keeping sequence and order identical is what makes the engine
-  // bit-identical to RadioEnvironment::SinrDb, in scalar and SIMD builds
-  // alike.
-  const double noise_mw = env_.NoiseMw(rx, bandwidth_hz_);
-  const GroupTerms& gt = group_terms_[static_cast<std::size_t>(group)];
-  const std::size_t count = gt.node.size();
-  // Presized index stores, not push_back: no per-element capacity branch
-  // in the hot loop (capacity persists across epochs in the receiver row).
-  if (terms.size() < count) terms.resize(count);
-  double* out = terms.data();
-  std::size_t m = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const RadioNodeId node = gt.node[i];
-    const double scale = gt.scale[i];
-    if (node == tx || node == rx) continue;
-    out[m++] = env_.MeanRxPowerMw(node, rx) * scale;
+  if (intern_entries_.size() >= kInternCapacity) {
+    intern_arena_.clear();
+    intern_entries_.clear();
+    std::fill(intern_index_.begin(), intern_index_.end(), 0);
+    i = static_cast<std::size_t>(hash) & kMask;
   }
-  return noise_mw + simd::BlockedSum8(out, m);
+  intern_entries_.push_back({.hash = hash,
+                             .id = next_list_id_++,
+                             .offset = intern_arena_.size(),
+                             .length = list.size()});
+  intern_arena_.insert(intern_arena_.end(), list.begin(), list.end());
+  intern_index_[i] = static_cast<std::uint32_t>(intern_entries_.size());
+  return intern_entries_.back().id;
 }
 
 double InterferenceMap::SinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
@@ -184,10 +140,11 @@ double InterferenceMap::SinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
     return slot.sinr_db;
   }
   ++row.memo_misses;
-  const double sinr_db = ComputeSinrDb(tx, rx, subchannel, now, signal_scale);
   slot = key;
-  slot.sinr_db = sinr_db;
-  return sinr_db;
+  slot.sinr_db = env_.SinrDb(tx, rx, static_cast<std::uint32_t>(subchannel), now,
+                             per_subchannel_[static_cast<std::size_t>(subchannel)],
+                             bandwidth_hz_, signal_scale);
+  return slot.sinr_db;
 }
 
 InterferenceMap::SinrMemoStats InterferenceMap::sinr_memo_stats() const {
@@ -197,35 +154,6 @@ InterferenceMap::SinrMemoStats InterferenceMap::sinr_memo_stats() const {
     stats.misses += row.memo_misses;
   }
   return stats;
-}
-
-double InterferenceMap::ComputeSinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
-                                      SimTime now, double signal_scale) const {
-  if (env_.config().enable_fading) {
-    // Fading is per (link, subchannel, time): the mean-power aggregate
-    // cannot stand in for it, so sum per link over the shared list.
-    return env_.SinrDb(tx, rx, static_cast<std::uint32_t>(subchannel), now,
-                       per_subchannel_[static_cast<std::size_t>(subchannel)],
-                       bandwidth_hz_, signal_scale);
-  }
-
-  ReceiverRow& row = rows_[rx];
-  if (row.epoch != epoch_ || row.excluded != tx ||
-      row.position_epoch != env_.position_epoch()) {
-    row.epoch = epoch_;
-    row.excluded = tx;
-    row.position_epoch = env_.position_epoch();
-    row.denom_mw.assign(static_cast<std::size_t>(num_groups_), 0.0);
-    row.built.assign(static_cast<std::size_t>(num_groups_), 0);
-  }
-  const std::size_t g =
-      static_cast<std::size_t>(group_of_[static_cast<std::size_t>(subchannel)]);
-  if (!row.built[g]) {
-    row.denom_mw[g] = AggregateDenomMw(tx, rx, static_cast<int>(g), row.terms);
-    row.built[g] = 1;
-  }
-  const double signal_mw = env_.MeanRxPowerMw(tx, rx) * signal_scale;
-  return LinearToDb(signal_mw / row.denom_mw[g]);
 }
 
 }  // namespace cellfi

@@ -5,9 +5,9 @@
 //      non-multiple-of-lane tails;
 //   2. the twiddle-table FFT against the legacy w*=wlen recurrence within
 //      a max-ulp bound (the one intentional numeric change of §17);
-//   3. the blocked denominator order against the old serial left-to-right
-//      sum within 1e-12 dB, and the engine against the per-link path
-//      bit-exactly;
+//   3. RadioEnvironment::SinrDb's blocked denominator order against the
+//      old serial left-to-right sum within 1e-12 dB, and the engine against
+//      the per-link path bit-exactly;
 // plus PrachDetectorBank-vs-PrachDetector bit identity and a composite
 // digest for the cross-build (CELLFI_SIMD=OFF vs ON) comparison driven by
 // tools/check.sh --simd via CELLFI_SIMD_DIGEST_OUT/_EXPECT.
@@ -61,21 +61,10 @@ struct ScopedForceScalar {
   bool prev;
 };
 
-// Sizes straddling every vector width in play (AVX2: 8 doubles per
-// blocked-sum step, 4 per butterfly; SSE2/NEON: 2) including pure-tail
-// and tail-carrying cases.
+// Sizes straddling every vector width in play (AVX2: 4 doubles per
+// butterfly step; SSE2/NEON: 2) including pure-tail and tail-carrying
+// cases.
 const std::size_t kSizes[] = {0, 1, 3, 5, 8, 13, 64, 100, 839, 1024};
-
-TEST(SimdKernelsTest, BlockedSum8DispatchMatchesScalarBitExact) {
-  for (std::size_t n : kSizes) {
-    const auto x = RandomDoubles(n, 100 + n, 1e-12, 1e-3);
-    const double scalar = simd::BlockedSum8Scalar(x.data(), n);
-    const double dispatched = simd::BlockedSum8(x.data(), n);
-    EXPECT_TRUE(BitEqual(scalar, dispatched)) << "n=" << n;
-    ScopedForceScalar forced(true);
-    EXPECT_TRUE(BitEqual(scalar, simd::BlockedSum8(x.data(), n))) << "n=" << n;
-  }
-}
 
 TEST(SimdKernelsTest, ButterflyBlockDispatchMatchesScalarBitExact) {
   for (std::size_t half : kSizes) {
@@ -220,30 +209,53 @@ TEST(SimdFftTest, TwiddleTableMatchesLegacyRecurrenceWithinUlps) {
 // --- Denominator accumulation: blocked order vs old serial order ----------
 
 TEST(SimdSinrTest, BlockedDenominatorWithinEpsilonOfSerialDb) {
-  // The §17 reassociation (serial left-to-right -> 8-lane blocked) is the
+  // The §17 reassociation (serial left-to-right -> the inline 8-lane
+  // lanes[m & 7] + ReduceLanes8 order of RadioEnvironment::SinrDb) is the
   // one place the SINR denominator's bits may move. The contract bounds
   // the movement at 1e-12 dB for realistic term populations: noise floor
-  // plus up to ~1000 interferer powers spanning nine decades.
+  // plus up to ~1000 interferer powers spanning many decades.
+  //
+  // 64 interferers placed 50 m .. 10 km away, drawn into lists of up to
+  // 1029 terms with power shares spanning four decades on top.
+  static HataUrbanPathLoss pathloss;
+  RadioEnvironmentConfig cfg;
+  cfg.enable_fading = false;
+  RadioEnvironment env(pathloss, cfg);
+  Rng rng(9000);
+  const RadioNodeId rx = env.AddNode({.position = {0, 0}});
+  const RadioNodeId tx = env.AddNode({.position = {150, 0}, .tx_power_dbm = 30});
+  std::vector<RadioNodeId> nodes;
+  for (int i = 0; i < 64; ++i) {
+    const double r = std::pow(10.0, rng.Uniform(1.7, 4.0));
+    const double theta = rng.Uniform(0.0, 2.0 * M_PI);
+    nodes.push_back(env.AddNode(
+        {.position = {r * std::cos(theta), r * std::sin(theta)}, .tx_power_dbm = 30}));
+  }
+  constexpr double kBandwidthHz = 360e3;
   for (std::size_t n : {3u, 17u, 256u, 1024u, 1029u}) {
-    const auto terms = RandomDoubles(n, 9000 + n, 1e-15, 1e-6);
-    const double noise_mw = 1.2e-12;
-    double serial = noise_mw;
-    for (double t : terms) serial += t;
-    const double blocked = noise_mw + simd::BlockedSum8(terms.data(), n);
-    const double serial_db = 10.0 * std::log10(serial);
-    const double blocked_db = 10.0 * std::log10(blocked);
+    std::vector<ActiveTransmitter> interferers;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto node = nodes[static_cast<std::size_t>(rng.UniformInt(0, 63))];
+      interferers.push_back({node, std::pow(10.0, rng.Uniform(-4.0, 0.0))});
+    }
+    double serial = env.NoiseMw(rx, kBandwidthHz);
+    for (const ActiveTransmitter& it : interferers) {
+      serial += env.MeanRxPowerMw(it.node, rx) * it.power_scale;
+    }
+    const double serial_db = 10.0 * std::log10(env.MeanRxPowerMw(tx, rx) / serial);
+    const double blocked_db = env.SinrDb(tx, rx, 0, 0, interferers, kBandwidthHz);
     EXPECT_NEAR(blocked_db, serial_db, 1e-12) << "n=" << n;
   }
 }
 
 TEST(SimdSinrTest, EngineMatchesPerLinkPathBitExact) {
-  // The engine's aggregate path (InterferenceMap::AggregateDenomMw over
-  // the SoA term rows) and the per-link reference
-  // (RadioEnvironment::SinrDb with an explicit interferer vector) share
-  // the blocked accumulation order, so their results are bit-identical —
-  // on the scalar and the dispatched kernel alike. The network-level
-  // reference test in lte_interference_engine_test gates the same
-  // identity on a running network; this pins it for 64 interferers.
+  // The engine (InterferenceMap::SinrDb) is interning + an exact memo
+  // over RadioEnvironment::SinrDb, so it returns the per-link reference's
+  // bits for an explicit interferer vector — with the SIMD dispatch
+  // forced to scalar or not, since the SINR path calls no dispatched
+  // kernel. The network-level reference test in
+  // lte_interference_engine_test gates the same identity on a running
+  // network; this pins it for 64 interferers (eight full lane blocks).
   static HataUrbanPathLoss pathloss;
   RadioEnvironmentConfig cfg;
   cfg.enable_fading = false;
@@ -271,7 +283,7 @@ TEST(SimdSinrTest, EngineMatchesPerLinkPathBitExact) {
                                         now, interferers, 360e3, 1.0 / 13.0);
     EXPECT_TRUE(BitEqual(engine, reference)) << "s=" << s;
     ScopedForceScalar forced(true);
-    // Fresh map so the row rebuilds on the scalar path.
+    // Fresh map, so the query misses the memo under forced scalar.
     InterferenceMap imap2(env);
     imap2.BeginEpoch(13, 360e3);
     for (RadioNodeId c : cells) {
@@ -357,10 +369,6 @@ void DigestDouble(std::uint64_t& h, double v) {
 // inputs, plus a full FFT, a Bluestein DFT and a PRACH detection pass.
 std::uint64_t KernelDigest() {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t n : kSizes) {
-    const auto x = RandomDoubles(n, 7000 + n, 1e-12, 1.0);
-    DigestDouble(h, simd::BlockedSum8(x.data(), n));
-  }
   {
     Rng rng(71);
     std::vector<Complex> x(1024);

@@ -66,7 +66,11 @@
 #            the working tree (Release, into build dirs outside perfbench/),
 #            run both workloads (fig9_cellfi, users_agg) at seeds 1 and 97
 #            with each binary, and fail if any `outcome` string differs.
-#            A few minutes: two library builds plus eight replications.
+#            Those workloads run with fading on, so it also builds
+#            examples/run_scenario for both and `cmp`s their JSON reports
+#            on two fading-off configs written from --print-config (plain
+#            LTE backlogged with 16 APs, and CellFi web). A few minutes:
+#            four library builds, eight replications and four scenarios.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -146,8 +150,45 @@ PY
       fi
     done
   done
+
+  step "same-bytes: build run_scenario at $SAME_BYTES_REF and from the working tree"
+  cmake -S "$ref_dir/src" -B "$ref_dir/build-scenario" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$ref_dir/build-scenario" -j "$(nproc)" --target run_scenario
+  tree_scenario_build="$ROOT/build-same-bytes-scenario"
+  cmake -S "$ROOT" -B "$tree_scenario_build" -DCMAKE_BUILD_TYPE=Release
+  cmake --build "$tree_scenario_build" -j "$(nproc)" --target run_scenario
+
+  step "same-bytes: fading-off run_scenario reports, $SAME_BYTES_REF vs working tree"
+  "$tree_scenario_build/examples/run_scenario" --print-config > "$ref_dir/default.json"
+  python3 - "$ref_dir" <<'PY'
+import json, os, sys
+out = sys.argv[1]
+base = json.load(open(os.path.join(out, "default.json")))
+base["enable_fading"] = False
+configs = {
+    "lte_backlogged_16ap": {"tech": "lte", "workload": "backlogged",
+                            "topology": dict(base["topology"], num_aps=16)},
+    "cellfi_web": {"tech": "cellfi", "workload": "web"},
+}
+for name, edits in configs.items():
+    with open(os.path.join(out, name + ".json"), "w") as f:
+        json.dump(dict(base, **edits), f)
+PY
+  for config in lte_backlogged_16ap cellfi_web; do
+    "$ref_dir/build-scenario/examples/run_scenario" "$ref_dir/$config.json" \
+      > "$ref_dir/$config.ref.out"
+    "$tree_scenario_build/examples/run_scenario" "$ref_dir/$config.json" \
+      > "$ref_dir/$config.tree.out"
+    if cmp -s "$ref_dir/$config.ref.out" "$ref_dir/$config.tree.out"; then
+      echo "$config (fading off): identical"
+    else
+      echo "$config (fading off): REPORT DIFFERS" >&2
+      mismatches=$((mismatches + 1))
+    fi
+  done
+
   if [[ "$mismatches" -ne 0 ]]; then
-    echo "check.sh: $mismatches outcome(s) differ from $SAME_BYTES_REF" >&2
+    echo "check.sh: $mismatches outcome(s) or report(s) differ from $SAME_BYTES_REF" >&2
     exit 1
   fi
   step "same-bytes gate passed"
