@@ -4,16 +4,11 @@
 #include <cstdlib>
 #include <tuple>
 
+#include "cellfi/common/rng.h"
+
 namespace cellfi::chaos {
 
 namespace {
-
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 /// Times serialize as integer microseconds (the trace convention); the
 /// sub-microsecond remainder of a SimTime is never used by fault plans.

@@ -9,6 +9,19 @@
 
 namespace cellfi {
 
+/// SplitMix64 finalizer: the stateless 64-bit mixing step behind every
+/// counter-based hash in the library (HashWords, SweepSeed, fault-plan
+/// transport seeds). Its constants fix those values; never change them.
+// cellfi-purity: allow(draws_rng) — stateless mixing step: a pure function
+// of its argument with no stream state, the DESIGN.md §13 sanctioned
+// alternative to Rng inside parallel phases.
+inline std::uint64_t SplitMix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 /// Seedable random source with the distributions used across the library.
 class Rng {
  public:

@@ -3,21 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "cellfi/common/rng.h"
 #include "cellfi/common/units.h"
 
 namespace cellfi {
-
-namespace {
-// cellfi-purity: allow(draws_rng) — stateless mixing step: a pure function
-// of its argument with no stream state, the DESIGN.md §13 sanctioned
-// alternative to Rng inside parallel phases.
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-}  // namespace
 
 std::uint64_t HashWords(std::uint64_t a, std::uint64_t b, std::uint64_t c,
                         std::uint64_t d) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 
 #include "cellfi/scenario/report.h"
 
@@ -134,29 +135,7 @@ std::vector<ReplicationOutcome> SweepSupervisor::Run(
 
     ReplicationOutcome out;
     for (int attempt = 1; attempt <= options_.max_attempts; ++attempt) {
-      if (body) {
-        out = ReplicationOutcome{};
-        out.point = job.point;
-        out.rep = job.rep;
-        out.seed = job.config.seed;
-        out.label = job.label;
-        out.sim_seconds = ToSeconds(job.config.duration);
-        const auto start = std::chrono::steady_clock::now();
-        try {
-          out.result = body(job);
-        } catch (const std::exception& e) {
-          out.error = std::current_exception();
-          out.error_text = e.what();
-        } catch (...) {
-          out.error = std::current_exception();
-          out.error_text = "unknown exception";
-        }
-        out.wall_seconds = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - start)
-                               .count();
-      } else {
-        out = RunOneReplication(job);
-      }
+      out = RunOneReplication(job, body);
       out.attempts = attempt;
       if (out.error == nullptr && options_.watchdog_seconds > 0.0 &&
           out.wall_seconds > options_.watchdog_seconds) {
@@ -164,11 +143,7 @@ std::vector<ReplicationOutcome> SweepSupervisor::Run(
         // event-loop livelock, overloaded host) — treat as a failure.
         out.result = ScenarioResult{};
         out.error_text = "watchdog deadline exceeded";
-        try {
-          throw std::runtime_error(out.error_text);
-        } catch (...) {
-          out.error = std::current_exception();
-        }
+        out.error = std::make_exception_ptr(std::runtime_error(out.error_text));
         std::lock_guard<std::mutex> lock(mu_);
         ++watchdog_expirations_;
       }

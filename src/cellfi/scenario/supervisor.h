@@ -1,7 +1,7 @@
 // Self-healing sweep supervisor (DESIGN.md §14).
 //
-// `SweepSupervisor` wraps the SweepRunner worker pool with a recovery
-// state machine per replication:
+// `SweepSupervisor` runs a sweep on a SweepRunner and wraps each
+// attempt (one RunOneReplication call) with a recovery state machine:
 //
 //   run → ok                    → checkpoint, done
 //   run → failed / over deadline → bounded same-seed retry

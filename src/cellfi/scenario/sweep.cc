@@ -3,32 +3,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <mutex>
 
 #include "cellfi/common/json.h"
-#include "cellfi/common/simd.h"
+#include "cellfi/common/rng.h"
 #include "cellfi/scenario/report.h"
-#include "cellfi/sim/worker_pool.h"
 
 namespace cellfi::scenario {
-
-namespace {
-
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-int EnvInt(const char* name) {
-  if (const char* env = std::getenv(name)) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 0;
-}
-
-}  // namespace
 
 std::uint64_t SweepSeed(std::uint64_t base, std::uint64_t point, std::uint64_t rep) {
   std::uint64_t h = SplitMix64(base);
@@ -40,8 +21,7 @@ std::uint64_t SweepSeed(std::uint64_t base, std::uint64_t point, std::uint64_t r
 int ResolveThreads(int requested) {
   if (requested > 0) return requested;
   if (const int env = EnvInt("CELLFI_BENCH_THREADS"); env > 0) return env;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return HardwareConcurrency();
 }
 
 int ResolveReps(int default_reps) {
@@ -49,83 +29,18 @@ int ResolveReps(int default_reps) {
   return default_reps;
 }
 
-SweepRunner::SweepRunner(SweepOptions options) : progress_(options.progress) {
-  const int n = ResolveThreads(options.threads);
-  // Register with the nested-parallelism guard: while this pool is alive,
-  // intra-replication shard pools (sim/worker_pool) derive their default
-  // thread count as hardware / active sweep threads, so
-  // sweep_threads x shard_threads never silently oversubscribes.
-  AddActiveSweepThreads(n);
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+SweepRunner::SweepRunner(SweepOptions options)
+    : progress_(options.progress), pool_(ResolveThreads(options.threads)) {
+  // Register with the nested-parallelism guard: while this runner is
+  // alive, intra-replication shard pools derive their default thread count
+  // as hardware / active sweep threads, so sweep_threads x shard_threads
+  // never silently oversubscribes.
+  AddActiveSweepThreads(pool_.threads());
 }
 
-SweepRunner::~SweepRunner() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-  AddActiveSweepThreads(-static_cast<int>(workers_.size()));
-}
+SweepRunner::~SweepRunner() { AddActiveSweepThreads(-pool_.threads()); }
 
-void SweepRunner::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [this] { return stop_ || next_ < count_; });
-    if (stop_) return;
-    const std::size_t index = next_++;
-    lock.unlock();
-    (*task_)(index);
-    lock.lock();
-    if (++completed_ == count_) done_cv_.notify_all();
-  }
-}
-
-void SweepRunner::RunTasks(std::size_t count,
-                           const std::function<void(std::size_t)>& task) {
-  if (count == 0) return;
-
-  // Exceptions never unwind through the pool: capture the first (by task
-  // index, for determinism) and rethrow after the batch has drained.
-  std::mutex error_mu;
-  std::size_t error_index = count;
-  std::exception_ptr error;
-  const std::function<void(std::size_t)> guarded = [&](std::size_t i) {
-    try {
-      task(i);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (i < error_index) {
-        error_index = i;
-        error = std::current_exception();
-      }
-    }
-  };
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    task_ = &guarded;
-    count_ = count;
-    next_ = 0;
-    completed_ = 0;
-  }
-  work_cv_.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return completed_ == count_; });
-    task_ = nullptr;
-    count_ = 0;
-    next_ = 0;
-    completed_ = 0;
-  }
-  if (error) std::rethrow_exception(error);
-}
-
-ReplicationOutcome RunOneReplication(const Replication& job) {
+ReplicationOutcome RunOneReplication(const Replication& job, const ReplicationBody& body) {
   ReplicationOutcome out;
   out.point = job.point;
   out.rep = job.rep;
@@ -134,7 +49,9 @@ ReplicationOutcome RunOneReplication(const Replication& job) {
   out.sim_seconds = ToSeconds(job.config.duration);
   const auto start = std::chrono::steady_clock::now();
   try {
-    if (job.topology != nullptr) {
+    if (body) {
+      out.result = body(job);
+    } else if (job.topology != nullptr) {
       out.result = RunScenarioOn(job.config, *job.topology);
     } else {
       out.result = RunScenario(job.config);
@@ -157,29 +74,7 @@ std::vector<ReplicationOutcome> SweepRunner::Run(const std::vector<Replication>&
   std::size_t finished = 0;
   RunTasks(jobs.size(), [&](std::size_t i) {
     const Replication& job = jobs[i];
-    if (body) {
-      ReplicationOutcome out;
-      out.point = job.point;
-      out.rep = job.rep;
-      out.seed = job.config.seed;
-      out.label = job.label;
-      out.sim_seconds = ToSeconds(job.config.duration);
-      const auto start = std::chrono::steady_clock::now();
-      try {
-        out.result = body(job);
-      } catch (const std::exception& e) {
-        out.error = std::current_exception();
-        out.error_text = e.what();
-      } catch (...) {
-        out.error = std::current_exception();
-        out.error_text = "unknown exception";
-      }
-      out.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-      outcomes[i] = std::move(out);
-    } else {
-      outcomes[i] = RunOneReplication(job);
-    }
+    outcomes[i] = RunOneReplication(job, body);
     if (progress_) {
       std::lock_guard<std::mutex> lock(progress_mu);
       ++finished;
@@ -288,10 +183,6 @@ std::string BenchReport::Write() const {
   doc["bench"] = name_;
   doc["threads"] = threads_;
   doc["reps"] = reps_;
-  // Which simd.h kernel variant produced these numbers ("avx2", "sse2",
-  // "neon" or "scalar") — recorded so baselines are only compared against
-  // runs of the same kernel.
-  doc["simd_kernel"] = simd::ActiveKernelName();
   doc["points"] = points;
   // `wall_s` is the bench's elapsed wall clock; `replication_wall_s` sums
   // the per-replication clocks, so their ratio is the achieved parallelism.

@@ -4,8 +4,8 @@
 // (point, replication) grids where every replication is an independent
 // simulation: it builds its own Simulator, Rng and RadioEnvironment from a
 // ScenarioConfig whose seed is a pure function of (point, rep). That makes
-// the sweep embarrassingly parallel, and this subsystem exploits it with a
-// fixed-size std::thread worker pool.
+// the sweep embarrassingly parallel, and this subsystem runs it on the
+// library's one worker pool (sim::WorkerPool, DESIGN.md §15).
 //
 // Determinism contract: a replication's outcome depends only on its
 // ScenarioConfig (and optional pre-built Topology), never on the thread
@@ -17,19 +17,17 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cellfi/common/json.h"
 #include "cellfi/common/stats.h"
 #include "cellfi/scenario/harness.h"
+#include "cellfi/sim/worker_pool.h"
 
 namespace cellfi::scenario {
 
@@ -99,10 +97,19 @@ struct ReplicationOutcome {
 /// (exception isolation) and non-standard per-replication work.
 using ReplicationBody = std::function<ScenarioResult(const Replication&)>;
 
-/// Fixed-size std::thread worker pool executing independent replications.
-/// Workers are spawned once at construction and joined at destruction;
-/// batches are handed to the pool via Run()/RunTasks(). One batch at a
-/// time: the runner itself is not thread-safe.
+/// Run one replication: fills the outcome header, times the run on the
+/// wall clock and captures any exception into the outcome. An empty `body`
+/// runs the standard path (topology generation + RunScenarioOn). The one
+/// replication executor: SweepRunner::Run and SweepSupervisor::Run both
+/// call it, and it doubles as the sequential fallback and test hook.
+ReplicationOutcome RunOneReplication(const Replication& job,
+                                     const ReplicationBody& body = nullptr);
+
+/// Executes independent replications on a fixed-size WorkerPool. Workers
+/// are spawned once at construction and joined at destruction; batches are
+/// handed to the pool via Run()/RunTasks(). One batch at a time: the
+/// runner itself is not thread-safe. While alive, the runner's workers are
+/// registered with the nested-parallelism guard (AddActiveSweepThreads).
 class SweepRunner {
  public:
   explicit SweepRunner(SweepOptions options = {});
@@ -111,7 +118,7 @@ class SweepRunner {
   SweepRunner(const SweepRunner&) = delete;
   SweepRunner& operator=(const SweepRunner&) = delete;
 
-  int threads() const { return static_cast<int>(workers_.size()); }
+  int threads() const { return pool_.threads(); }
 
   /// Run every replication on the pool; blocks until all complete and
   /// returns outcomes in input order regardless of completion order. An
@@ -125,28 +132,14 @@ class SweepRunner {
   /// `count` independent tasks, task(i) for i in [0, count). Tasks must
   /// not depend on execution order. The first exception (by task index) is
   /// rethrown after the whole batch has drained.
-  void RunTasks(std::size_t count, const std::function<void(std::size_t)>& task);
+  void RunTasks(std::size_t count, const std::function<void(std::size_t)>& task) {
+    pool_.RunIndexed(count, task);
+  }
 
  private:
-  void WorkerLoop();
-
-  // Batch state, guarded by mu_. `next_` is the pull cursor; workers take
-  // indices with it and report completion through `completed_`.
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* task_ = nullptr;
-  std::size_t count_ = 0;
-  std::size_t next_ = 0;
-  std::size_t completed_ = 0;
-  bool stop_ = false;
   bool progress_ = false;
-  std::vector<std::thread> workers_;
+  WorkerPool pool_;
 };
-
-/// Run one replication exactly as the pool does (topology generation,
-/// RunScenarioOn, wall/sim timing). Sequential fallback and test hook.
-ReplicationOutcome RunOneReplication(const Replication& job);
 
 /// Rethrow the first captured replication error, if any.
 void ThrowIfFailed(const std::vector<ReplicationOutcome>& outcomes);

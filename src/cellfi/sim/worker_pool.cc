@@ -10,19 +10,19 @@ namespace {
 
 std::atomic<int> g_active_sweep_threads{0};
 
+}  // namespace
+
+int HardwareConcurrency() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
 int EnvInt(const char* name) {
   if (const char* env = std::getenv(name)) {
     const int n = std::atoi(env);
     if (n > 0) return n;
   }
   return 0;
-}
-
-}  // namespace
-
-int HardwareConcurrency() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 void AddActiveSweepThreads(int delta) {
@@ -84,9 +84,9 @@ void WorkerPool::RunIndexed(std::size_t count,
                             const std::function<void(std::size_t)>& task) {
   if (count == 0) return;
 
-  // Mirror SweepRunner: exceptions never unwind through the pool. Capture
-  // the first by task index (deterministic regardless of thread timing) and
-  // rethrow once the batch has drained.
+  // Exceptions never unwind through the pool. Capture the first by task
+  // index (deterministic regardless of thread timing) and rethrow once the
+  // batch has drained.
   std::mutex error_mu;
   std::size_t error_index = count;
   std::exception_ptr error;

@@ -1,12 +1,12 @@
-// Persistent worker pool for intra-replication parallelism (DESIGN.md §15).
+// Persistent worker pool (DESIGN.md §15): the library's one thread pool.
 //
-// SweepRunner (scenario/sweep) parallelizes ACROSS replications; this pool
-// parallelizes WITHIN one replication — per-subframe shard work in
-// LteNetwork. It is deliberately tiny: a fixed set of threads spawned once,
-// fed index ranges through RunIndexed, joined at destruction. Tasks must be
-// pure with respect to each other (the caller guarantees disjoint write
-// sets); the pool adds no ordering of its own, so any result that depends
-// on task completion order is a caller bug.
+// It serves both levels of parallelism. SweepRunner (scenario/sweep) runs
+// it ACROSS replications; LteNetwork runs it WITHIN one replication, for
+// per-subframe shard work. It is deliberately tiny: a fixed set of threads
+// spawned once, fed index ranges through RunIndexed, joined at
+// destruction. Tasks must be pure with respect to each other (the caller
+// guarantees disjoint write sets); the pool adds no ordering of its own,
+// so any result that depends on task completion order is a caller bug.
 //
 // Nested-parallelism guard: when the replication runner's pool and shard
 // pools are both active, the product of their thread counts must not
@@ -29,6 +29,10 @@ namespace cellfi {
 
 /// max(1, std::thread::hardware_concurrency()).
 int HardwareConcurrency();
+
+/// Value of the integer environment variable `name` when it is set and
+/// positive, else 0. Shared by the thread/replication-count knobs.
+int EnvInt(const char* name);
 
 /// Registration of replication-runner worker threads (SweepRunner
 /// construction adds, destruction subtracts). Used by ResolveShardThreads

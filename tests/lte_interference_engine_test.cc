@@ -24,6 +24,10 @@
 namespace cellfi {
 namespace {
 
+bool BitEqual(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 RadioEnvironmentConfig EnvConfig(bool fading) {
   RadioEnvironmentConfig c;
   c.carrier_freq_hz = 600e6;
@@ -33,14 +37,16 @@ RadioEnvironmentConfig EnvConfig(bool fading) {
   return c;
 }
 
-/// A receiver, a signal source and `n` interferers scattered over a 2 km
-/// square, full-band flat PSD on 13 subchannels.
+/// A receiver, a signal source and `interferers` interferers scattered over
+/// a 2 km square, full-band flat PSD on 13 subchannels. The placements come
+/// from one fixed stream, so a larger world extends a smaller one.
 struct World {
-  explicit World(const RadioEnvironmentConfig& cfg) : env(pathloss, cfg) {
+  explicit World(const RadioEnvironmentConfig& cfg, int interferers = 12)
+      : env(pathloss, cfg) {
     Rng rng(17);
     rx = env.AddNode({.position = {0, 0}});
     tx = env.AddNode({.position = {300, 100}, .tx_power_dbm = 30});
-    for (int i = 0; i < 12; ++i) {
+    for (int i = 0; i < interferers; ++i) {
       others.push_back(env.AddNode({.position = {rng.Uniform(-2000, 2000),
                                                  rng.Uniform(-2000, 2000)},
                                     .tx_power_dbm = 30}));
@@ -57,24 +63,30 @@ class InterferenceMapTest : public ::testing::TestWithParam<bool> {};
 
 TEST_P(InterferenceMapTest, MatchesPerLinkSinrExactly) {
   const bool fading = GetParam();
-  World w(EnvConfig(fading));
-  InterferenceMap imap(w.env);
-  imap.BeginEpoch(13, 360e3);
-  // The signal source itself is in the lists (as in a real subframe) and
-  // must be excluded at query time exactly as env::SinrDb does.
-  std::vector<ActiveTransmitter> list;
-  list.push_back({w.tx, 1.0 / 13.0});
-  for (RadioNodeId n : w.others) list.push_back({n, 1.0 / 13.0});
-  for (int s = 0; s < 13; ++s) {
-    for (const ActiveTransmitter& t : list) imap.AddTransmitter(s, t.node, t.power_scale);
-  }
-  for (SimTime now = 0; now <= 100 * kMillisecond; now += 20 * kMillisecond) {
+  // 12 interferers, and 64 — eight full blocks of the 8-lane denominator
+  // accumulation in RadioEnvironment::SinrDb.
+  for (int interferers : {12, 64}) {
+    World w(EnvConfig(fading), interferers);
+    InterferenceMap imap(w.env);
+    imap.BeginEpoch(13, 360e3);
+    // The signal source itself is in the lists (as in a real subframe) and
+    // must be excluded at query time exactly as env::SinrDb does.
+    std::vector<ActiveTransmitter> list;
+    list.push_back({w.tx, 1.0 / 13.0});
+    for (RadioNodeId n : w.others) list.push_back({n, 1.0 / 13.0});
     for (int s = 0; s < 13; ++s) {
-      const double engine = imap.SinrDb(w.tx, w.rx, s, now, 1.0 / 13.0);
-      const double perlink =
-          w.env.SinrDb(w.tx, w.rx, static_cast<std::uint32_t>(s), now, list, 360e3,
-                       1.0 / 13.0);
-      EXPECT_EQ(engine, perlink) << "fading=" << fading << " s=" << s << " t=" << now;
+      for (const ActiveTransmitter& t : list) imap.AddTransmitter(s, t.node, t.power_scale);
+    }
+    for (SimTime now = 0; now <= 100 * kMillisecond; now += 20 * kMillisecond) {
+      for (int s = 0; s < 13; ++s) {
+        const double engine = imap.SinrDb(w.tx, w.rx, s, now, 1.0 / 13.0);
+        const double perlink =
+            w.env.SinrDb(w.tx, w.rx, static_cast<std::uint32_t>(s), now, list, 360e3,
+                         1.0 / 13.0);
+        EXPECT_TRUE(BitEqual(engine, perlink))
+            << engine << " vs " << perlink << " fading=" << fading
+            << " interferers=" << interferers << " s=" << s << " t=" << now;
+      }
     }
   }
 }
@@ -301,10 +313,6 @@ lte::LteNetworkConfig NetConfig() {
   lte::LteNetworkConfig c;
   c.seed = 11;
   return c;
-}
-
-bool BitEqual(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
 class ReferenceNetwork {

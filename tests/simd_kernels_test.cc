@@ -6,8 +6,8 @@
 //   2. the twiddle-table FFT against the legacy w*=wlen recurrence within
 //      a max-ulp bound (the one intentional numeric change of §17);
 //   3. RadioEnvironment::SinrDb's blocked denominator order against the
-//      old serial left-to-right sum within 1e-12 dB, and the engine against
-//      the per-link path bit-exactly;
+//      old serial left-to-right sum within 1e-12 dB (the engine-vs-per-link
+//      bit identity lives in lte_interference_engine_test);
 // plus PrachDetectorBank-vs-PrachDetector bit identity and a composite
 // digest for the cross-build (CELLFI_SIMD=OFF vs ON) comparison driven by
 // tools/check.sh --simd via CELLFI_SIMD_DIGEST_OUT/_EXPECT.
@@ -30,7 +30,6 @@
 #include "cellfi/common/rng.h"
 #include "cellfi/phy/prach.h"
 #include "cellfi/radio/environment.h"
-#include "cellfi/radio/interference.h"
 #include "cellfi/radio/pathloss.h"
 
 namespace cellfi {
@@ -245,52 +244,6 @@ TEST(SimdSinrTest, BlockedDenominatorWithinEpsilonOfSerialDb) {
     const double serial_db = 10.0 * std::log10(env.MeanRxPowerMw(tx, rx) / serial);
     const double blocked_db = env.SinrDb(tx, rx, 0, 0, interferers, kBandwidthHz);
     EXPECT_NEAR(blocked_db, serial_db, 1e-12) << "n=" << n;
-  }
-}
-
-TEST(SimdSinrTest, EngineMatchesPerLinkPathBitExact) {
-  // The engine (InterferenceMap::SinrDb) is interning + an exact memo
-  // over RadioEnvironment::SinrDb, so it returns the per-link reference's
-  // bits for an explicit interferer vector — with the SIMD dispatch
-  // forced to scalar or not, since the SINR path calls no dispatched
-  // kernel. The network-level reference test in
-  // lte_interference_engine_test gates the same identity on a running
-  // network; this pins it for 64 interferers (eight full lane blocks).
-  static HataUrbanPathLoss pathloss;
-  RadioEnvironmentConfig cfg;
-  cfg.enable_fading = false;
-  RadioEnvironment env(pathloss, cfg);
-  Rng rng(6);
-  const RadioNodeId rx = env.AddNode({.position = {0, 0}});
-  const RadioNodeId tx = env.AddNode({.position = {200, 0}, .tx_power_dbm = 30});
-  std::vector<RadioNodeId> cells;
-  for (int i = 0; i < 64; ++i) {
-    cells.push_back(env.AddNode({.position = {rng.Uniform(-2000, 2000),
-                                              rng.Uniform(-2000, 2000)},
-                                 .tx_power_dbm = 30}));
-  }
-  InterferenceMap imap(env);
-  imap.BeginEpoch(13, 360e3);
-  std::vector<ActiveTransmitter> interferers;
-  for (RadioNodeId c : cells) {
-    for (int s = 0; s < 13; ++s) imap.AddTransmitter(s, c, 1.0 / 13.0);
-    interferers.push_back({c, 1.0 / 13.0});
-  }
-  const SimTime now = 7 * kMillisecond;
-  for (int s : {0, 5, 12}) {
-    const double engine = imap.SinrDb(tx, rx, s, now, 1.0 / 13.0);
-    const double reference = env.SinrDb(tx, rx, static_cast<std::uint32_t>(s),
-                                        now, interferers, 360e3, 1.0 / 13.0);
-    EXPECT_TRUE(BitEqual(engine, reference)) << "s=" << s;
-    ScopedForceScalar forced(true);
-    // Fresh map, so the query misses the memo under forced scalar.
-    InterferenceMap imap2(env);
-    imap2.BeginEpoch(13, 360e3);
-    for (RadioNodeId c : cells) {
-      for (int sc = 0; sc < 13; ++sc) imap2.AddTransmitter(sc, c, 1.0 / 13.0);
-    }
-    const double engine_scalar = imap2.SinrDb(tx, rx, s, now, 1.0 / 13.0);
-    EXPECT_TRUE(BitEqual(engine, engine_scalar)) << "s=" << s;
   }
 }
 

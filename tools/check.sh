@@ -31,8 +31,9 @@
 #   --shard  additionally build the sanitize-tsan preset and run the shard
 #            suite (`ctest -L shard`: worker pool, shard grid, shard
 #            metrics, multi-threaded subframe bit-identity across shard
-#            counts) under ThreadSanitizer — the data-race gate for
-#            DESIGN.md §15.
+#            counts, and the sweep runner that shares the worker pool)
+#            under ThreadSanitizer — the data-race gate for DESIGN.md
+#            §10 and §15.
 #   --simd   additionally build the simd-off preset (CELLFI_SIMD=OFF,
 #            scalar reference kernels) and run the SIMD parity suite
 #            (`ctest -L simd`) in BOTH trees, threading a kernel-output
