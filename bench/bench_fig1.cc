@@ -10,6 +10,7 @@
 #include "cellfi/common/stats.h"
 #include "cellfi/common/table.h"
 #include "cellfi/lte/network.h"
+#include "cellfi/phy/cqi_mcs.h"
 #include "cellfi/radio/pathloss.h"
 
 using namespace cellfi;
@@ -22,6 +23,24 @@ struct PointResult {
   double harq_fraction = 0;
   std::vector<double> dl_rates, ul_rates, dl_fracs, ul_fracs;
 };
+
+/// One sample per delivered block: its code rate and its fraction of the
+/// channel, from the UE's per-CQI and per-width block counts.
+void ExpandCounts(const lte::DeliveryCounts& counts, std::vector<double>& rates,
+                  std::vector<double>& fracs) {
+  for (int cqi = 0; cqi <= kMaxCqi; ++cqi) {
+    const std::uint64_t n = counts.by_cqi[static_cast<std::size_t>(cqi)];
+    if (n > 0) rates.insert(rates.end(), n, CqiCodeRate(cqi));
+  }
+  const std::size_t num_subchannels = counts.by_width.size() - 1;
+  for (std::size_t width = 0; width <= num_subchannels; ++width) {
+    const std::uint64_t n = counts.by_width[width];
+    if (n > 0) {
+      fracs.insert(fracs.end(), n,
+                   static_cast<double>(width) / static_cast<double>(num_subchannels));
+    }
+  }
+}
 
 PointResult RunPoint(double distance, std::uint64_t seed) {
   HataUrbanPathLoss pathloss(15.0, 1.5);
@@ -67,10 +86,8 @@ PointResult RunPoint(double distance, std::uint64_t seed) {
   if (net.ue(ue).serving != lte::kInvalidCell) {
     const auto* ctx = net.cell(net.ue(ue).serving).FindUe(ue);
     if (ctx != nullptr) {
-      r.dl_rates = ctx->code_rate_log;
-      r.ul_rates = ctx->ul_code_rate_log;
-      r.dl_fracs = ctx->channel_fraction_log;
-      r.ul_fracs = ctx->ul_channel_fraction_log;
+      ExpandCounts(ctx->dl_blocks, r.dl_rates, r.dl_fracs);
+      ExpandCounts(ctx->ul_blocks, r.ul_rates, r.ul_fracs);
       r.harq_fraction = ctx->dl_total_blocks
                             ? static_cast<double>(ctx->dl_harq_retx_blocks) /
                                   static_cast<double>(ctx->dl_total_blocks)

@@ -419,8 +419,9 @@ void BM_SchedulerSubframe(benchmark::State& state) {
     for (auto& c : cqi) c = static_cast<int>(rng.UniformInt(3, 15));
     ue.UpdateCqi(10, cqi);
   }
+  lte::TxPlan plan;
   for (auto _ : state) {
-    auto plan = enb.PlanDownlink();
+    enb.PlanDownlink(plan);
     benchmark::DoNotOptimize(&plan);
   }
 }

@@ -20,6 +20,10 @@ EnodeB::EnodeB(CellId id, LteMacConfig config)
 UeContext& EnodeB::AddUe(UeId ue) {
   assert(FindUe(ue) == nullptr);
   ues_.push_back(std::make_unique<UeContext>(ue, grid_.num_subchannels()));
+  // The UE's schedule row exists from attach on (zero reads as unscheduled),
+  // so no grant ever allocates one; a row kept from an earlier visit stays.
+  schedule_stats_.ue_subchannel_subframes.try_emplace(
+      ue, static_cast<std::size_t>(grid_.num_subchannels()), 0);
   return *ues_.back();
 }
 
@@ -48,8 +52,22 @@ void EnodeB::SetBackgroundPrbDemand(double fraction) {
   background_prb_demand_ = std::clamp(fraction, 0.0, 1.0);
 }
 
-Transmission EnodeB::MakeNewBlock(UeContext& ue, int ue_index,
-                                  std::vector<int> subchannels, bool uplink) const {
+void TxPlan::Clear(int num_subchannels) {
+  transmissions.clear();
+  data_active.assign(static_cast<std::size_t>(num_subchannels), false);
+  subchannel_pool.clear();
+  subchannel_pool.reserve(static_cast<std::size_t>(num_subchannels));
+}
+
+UeContext& EnodeB::UeOf(const Transmission& tx) {
+  assert(tx.ue_index >= 0 && static_cast<std::size_t>(tx.ue_index) < ues_.size());
+  UeContext& ue = *ues_[static_cast<std::size_t>(tx.ue_index)];
+  assert(ue.id() == tx.ue);
+  return ue;
+}
+
+Transmission EnodeB::MakeNewBlock(const UeContext& ue, int ue_index,
+                                  std::span<const int> subchannels, bool uplink) const {
   Transmission tx;
   tx.ue = ue.id();
   tx.ue_index = ue_index;
@@ -60,12 +78,12 @@ Transmission EnodeB::MakeNewBlock(UeContext& ue, int ue_index,
   tx.tb_bits = TransportBlockBits(tx.cqi, rbs, grid_.DataResourceElementsPerRb());
   const std::uint64_t queued = uplink ? ue.ul_queue_bytes() : ue.dl_queue_bytes();
   tx.payload_bytes = std::min<std::uint64_t>(queued, static_cast<std::uint64_t>(tx.tb_bits / 8));
-  tx.subchannels = std::move(subchannels);
+  tx.subchannels = subchannels;
   return tx;
 }
 
 Transmission EnodeB::MakeRetxBlock(const UeContext& ue, int ue_index,
-                                   std::vector<int> subchannels, bool uplink) const {
+                                   std::span<const int> subchannels, bool uplink) const {
   const HarqState& h = uplink ? ue.harq_ul() : ue.harq_dl();
   Transmission tx;
   tx.ue = ue.id();
@@ -74,13 +92,34 @@ Transmission EnodeB::MakeRetxBlock(const UeContext& ue, int ue_index,
   tx.tb_bits = h.tb_bits;
   tx.payload_bytes = h.payload_bytes;
   tx.is_harq_retx = true;
-  tx.subchannels = std::move(subchannels);
+  tx.subchannels = subchannels;
   return tx;
 }
 
-TxPlan EnodeB::PlanDownlink() {
-  TxPlan plan;
-  plan.data_active.assign(allowed_mask_.size(), false);
+void EnodeB::EmitTransmissions(TxPlan& plan, bool uplink) const {
+  std::vector<int>& pool = plan.subchannel_pool;
+  assert(pool.capacity() >= assignment_.size());
+  plan.transmissions.reserve(ues_.size());
+  for (std::size_t s = 0; s < assignment_.size(); ++s) {
+    if (assignment_[s] >= 0) plan.data_active[s] = true;
+  }
+  for (std::size_t u = 0; u < ues_.size(); ++u) {
+    const std::size_t begin = pool.size();
+    for (std::size_t s = 0; s < assignment_.size(); ++s) {
+      if (assignment_[s] == static_cast<int>(u)) pool.push_back(static_cast<int>(s));
+    }
+    if (pool.size() == begin) continue;
+    const std::span<const int> subchannels(pool.data() + begin, pool.size() - begin);
+    const UeContext& ue = *ues_[u];
+    const HarqState& h = uplink ? ue.harq_ul() : ue.harq_dl();
+    plan.transmissions.push_back(
+        h.active ? MakeRetxBlock(ue, static_cast<int>(u), subchannels, uplink)
+                 : MakeNewBlock(ue, static_cast<int>(u), subchannels, uplink));
+  }
+}
+
+void EnodeB::PlanDownlink(TxPlan& plan) {
+  plan.Clear(grid_.num_subchannels());
 
   // Aggregate background reservation (DESIGN.md §18): round(frac * allowed)
   // allowed subchannels go to the background tier — active on air, masked
@@ -115,78 +154,40 @@ TxPlan EnodeB::PlanDownlink() {
     sched_mask = &background_mask_scratch_;
   }
 
-  std::vector<UeContext*> ue_ptrs;
-  ue_ptrs.reserve(ues_.size());
-  for (const auto& u : ues_) ue_ptrs.push_back(u.get());
-
-  const SubchannelAssignment assignment =
-      scheduler_->AssignDownlink(ue_ptrs, *sched_mask);
-
-  // Group subchannels per UE.
-  std::vector<std::vector<int>> per_ue(ues_.size());
-  for (std::size_t s = 0; s < assignment.size(); ++s) {
-    if (assignment[s] >= 0) {
-      per_ue[static_cast<std::size_t>(assignment[s])].push_back(static_cast<int>(s));
-      plan.data_active[s] = true;
-    }
-  }
-
-  for (std::size_t u = 0; u < per_ue.size(); ++u) {
-    if (per_ue[u].empty()) continue;
-    UeContext& ue = *ues_[u];
-    plan.transmissions.push_back(
-        ue.harq_dl().active
-            ? MakeRetxBlock(ue, static_cast<int>(u), std::move(per_ue[u]), false)
-            : MakeNewBlock(ue, static_cast<int>(u), std::move(per_ue[u]), false));
-  }
+  ue_ptrs_.clear();
+  for (const auto& u : ues_) ue_ptrs_.push_back(u.get());
+  scheduler_->AssignDownlink(ue_ptrs_, *sched_mask, assignment_);
+  EmitTransmissions(plan, /*uplink=*/false);
 
   ++schedule_stats_.dl_subframes;
   for (const Transmission& tx : plan.transmissions) {
-    auto& counts = schedule_stats_.ue_subchannel_subframes[tx.ue];
-    if (counts.empty()) counts.assign(static_cast<std::size_t>(grid_.num_subchannels()), 0);
+    std::vector<int>& counts = schedule_stats_.ue_subchannel_subframes[tx.ue];
     for (int s : tx.subchannels) ++counts[static_cast<std::size_t>(s)];
   }
-  return plan;
 }
 
-void EnodeB::ResetScheduleStats() { schedule_stats_ = ScheduleStats{}; }
-
-TxPlan EnodeB::PlanUplink() {
-  TxPlan plan;
-  plan.data_active.assign(allowed_mask_.size(), false);
-
-  std::vector<UeContext*> ue_ptrs;
-  ue_ptrs.reserve(ues_.size());
-  for (const auto& u : ues_) ue_ptrs.push_back(u.get());
-
-  const SubchannelAssignment assignment = scheduler_->AssignUplink(
-      ue_ptrs, allowed_mask_, grid_.DataResourceElementsPerRb(), grid_.rbg_size());
-
-  std::vector<std::vector<int>> per_ue(ues_.size());
-  for (std::size_t s = 0; s < assignment.size(); ++s) {
-    if (assignment[s] >= 0) {
-      per_ue[static_cast<std::size_t>(assignment[s])].push_back(static_cast<int>(s));
-      plan.data_active[s] = true;
-    }
+void EnodeB::ResetScheduleStats() {
+  schedule_stats_.dl_subframes = 0;
+  // cellfi-lint: allow(no-unordered-iter) — zeroes every row, order-free
+  for (auto& [ue, counts] : schedule_stats_.ue_subchannel_subframes) {
+    std::fill(counts.begin(), counts.end(), 0);
   }
+}
 
-  for (std::size_t u = 0; u < per_ue.size(); ++u) {
-    if (per_ue[u].empty()) continue;
-    UeContext& ue = *ues_[u];
-    plan.transmissions.push_back(
-        ue.harq_ul().active
-            ? MakeRetxBlock(ue, static_cast<int>(u), std::move(per_ue[u]), true)
-            : MakeNewBlock(ue, static_cast<int>(u), std::move(per_ue[u]), true));
-  }
-  return plan;
+void EnodeB::PlanUplink(TxPlan& plan) {
+  plan.Clear(grid_.num_subchannels());
+  ue_ptrs_.clear();
+  for (const auto& u : ues_) ue_ptrs_.push_back(u.get());
+  scheduler_->AssignUplink(ue_ptrs_, allowed_mask_, grid_.DataResourceElementsPerRb(),
+                           grid_.rbg_size(), assignment_);
+  EmitTransmissions(plan, /*uplink=*/true);
 }
 
 DeliveryResult EnodeB::Complete(const Transmission& tx, double sinr_db, Rng& rng,
                                 bool uplink) {
   DeliveryResult result;
-  UeContext* ue = FindUe(tx.ue);
-  if (ue == nullptr) return result;
-  HarqState& h = uplink ? ue->harq_ul() : ue->harq_dl();
+  UeContext& ue = UeOf(tx);
+  HarqState& h = uplink ? ue.harq_ul() : ue.harq_dl();
 
   double combined = tx.is_harq_retx ? h.combined_sinr_linear : 0.0;
   combined += DbToLinear(sinr_db);
@@ -194,8 +195,8 @@ DeliveryResult EnodeB::Complete(const Transmission& tx, double sinr_db, Rng& rng
   result.attempts = attempts;
 
   if (!uplink) {
-    if (!tx.is_harq_retx) ++ue->dl_total_blocks;
-    if (attempts == 2) ++ue->dl_harq_retx_blocks;
+    if (!tx.is_harq_retx) ++ue.dl_total_blocks;
+    if (attempts == 2) ++ue.dl_harq_retx_blocks;
   }
 
   const bool success =
@@ -204,27 +205,22 @@ DeliveryResult EnodeB::Complete(const Transmission& tx, double sinr_db, Rng& rng
     result.delivered = true;
     result.payload_bytes = tx.payload_bytes;
     if (uplink) {
-      ue->DrainUplink(tx.payload_bytes);
-      ue->ul_delivered_bits += 8 * tx.payload_bytes;
+      ue.DrainUplink(tx.payload_bytes);
+      ue.ul_delivered_bits += 8 * tx.payload_bytes;
       total_ul_bits_ += 8 * tx.payload_bytes;
-      ue->ul_code_rate_log.push_back(CqiCodeRate(tx.cqi));
-      ue->ul_channel_fraction_log.push_back(static_cast<double>(tx.subchannels.size()) /
-                                            static_cast<double>(grid_.num_subchannels()));
     } else {
-      ue->DrainDownlink(tx.payload_bytes);
-      ue->dl_delivered_bits += 8 * tx.payload_bytes;
+      ue.DrainDownlink(tx.payload_bytes);
+      ue.dl_delivered_bits += 8 * tx.payload_bytes;
       total_dl_bits_ += 8 * tx.payload_bytes;
-      ue->code_rate_log.push_back(CqiCodeRate(tx.cqi));
-      ue->channel_fraction_log.push_back(static_cast<double>(tx.subchannels.size()) /
-                                         static_cast<double>(grid_.num_subchannels()));
     }
+    (uplink ? ue.ul_blocks : ue.dl_blocks).Count(tx.cqi, tx.subchannels.size());
     h.Clear();
     return result;
   }
 
   if (attempts >= config_.harq_max_transmissions) {
     result.dropped = true;
-    if (!uplink) ++ue->dl_lost_blocks;
+    if (!uplink) ++ue.dl_lost_blocks;
     h.Clear();  // data stays queued; a fresh block will carry it
     return result;
   }

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -25,18 +26,37 @@ namespace cellfi::lte {
 struct Transmission {
   UeId ue = -1;
   int ue_index = -1;              // index into the cell's UE list
-  std::vector<int> subchannels;   // allocated subchannels
+  /// Allocated subchannels, ascending: a view into the owning TxPlan's
+  /// subchannel_pool, valid until that plan is cleared or planned again.
+  std::span<const int> subchannels;
   int cqi = 0;                    // MCS for the block
   int tb_bits = 0;                // transport block capacity
   std::uint64_t payload_bytes = 0;  // actual queued bytes covered
   bool is_harq_retx = false;
 };
 
-/// All transmissions of one cell in one subframe.
+/// All transmissions of one cell in one subframe. Filled in place and
+/// reused from subframe to subframe (DESIGN.md §21). Move-only: every
+/// transmission's span points into this plan's subchannel_pool, so a copy
+/// would read the source's pool, while a move carries the pool's buffer
+/// (and every span into it) along.
 struct TxPlan {
+  TxPlan() = default;
+  TxPlan(TxPlan&&) noexcept = default;
+  TxPlan& operator=(TxPlan&&) noexcept = default;
+  TxPlan(const TxPlan&) = delete;
+  TxPlan& operator=(const TxPlan&) = delete;
+
+  /// Empty the plan for a grid of `num_subchannels`, keeping every buffer.
+  void Clear(int num_subchannels);
+
   std::vector<Transmission> transmissions;
   /// True where a subchannel carries data this subframe.
   std::vector<bool> data_active;
+  /// Storage behind every Transmission::subchannels, reserved to the
+  /// subchannel count. A subchannel is granted at most once per plan, so
+  /// the pool never reallocates while spans point into it.
+  std::vector<int> subchannel_pool;
 };
 
 /// Result of resolving one transport block against the channel.
@@ -62,6 +82,10 @@ class EnodeB {
   UeContext* FindUe(UeId ue);
   const std::vector<std::unique_ptr<UeContext>>& ues() const { return ues_; }
   bool has_ues() const { return !ues_.empty(); }
+  /// The UE a planned transmission serves, by its list index. The UE list
+  /// cannot change between plan and commit (attach, detach and handover
+  /// run outside the subframe), so the index is exact; asserts the id.
+  UeContext& UeOf(const Transmission& tx);
 
   // --- Interference-management interface ------------------------------------
   /// Restrict the scheduler to these subchannels (CellFi IM). Size must be
@@ -87,16 +111,17 @@ class EnodeB {
   bool has_load() const { return !ues_.empty() || background_prb_demand_ > 0.0; }
 
   // --- Per-subframe MAC ------------------------------------------------------
-  /// Build the downlink plan for this subframe (only meaningful on DL
-  /// subframes). Runs on shard workers; everything it reaches must be
+  /// Build the downlink plan for this subframe into `plan` (only
+  /// meaningful on DL subframes), replacing its contents and reusing its
+  /// buffers. Runs on shard workers; everything it reaches must be
   /// RNG-free, schedule-free and lock-free (DESIGN.md §16).
   // cellfi-purity: contract-root(parallel-shard-phase) EnodeB::PlanDownlink
-  TxPlan PlanDownlink();
+  void PlanDownlink(TxPlan& plan);
 
-  /// Build the uplink grant plan (UL subframes). Same purity contract as
-  /// PlanDownlink.
+  /// Build the uplink grant plan (UL subframes) into `plan`. Same purity
+  /// contract as PlanDownlink.
   // cellfi-purity: contract-root(parallel-shard-phase) EnodeB::PlanUplink
-  TxPlan PlanUplink();
+  void PlanUplink(TxPlan& plan);
 
   /// Resolve a downlink transport block given its realized SINR; updates
   /// HARQ state, queues and statistics.
@@ -116,6 +141,8 @@ class EnodeB {
   // --- Epoch schedule statistics (CellFi IM input) -------------------------------
   /// Per-UE, per-subchannel count of DL subframes scheduled since the last
   /// reset; frac_j in the paper's bucket update is count / dl_subframes.
+  /// A UE's row is created by AddUe and zeroed, not dropped, by a reset;
+  /// readers treat an all-zero row exactly like a missing one.
   struct ScheduleStats {
     int dl_subframes = 0;
     std::unordered_map<UeId, std::vector<int>> ue_subchannel_subframes;
@@ -124,10 +151,13 @@ class EnodeB {
   void ResetScheduleStats();
 
  private:
-  Transmission MakeNewBlock(UeContext& ue, int ue_index, std::vector<int> subchannels,
-                            bool uplink) const;
+  /// Turn assignment_ into `plan`: one transmission per granted UE, in
+  /// UE-list order, its subchannels written straight into the plan's pool.
+  void EmitTransmissions(TxPlan& plan, bool uplink) const;
+  Transmission MakeNewBlock(const UeContext& ue, int ue_index,
+                            std::span<const int> subchannels, bool uplink) const;
   Transmission MakeRetxBlock(const UeContext& ue, int ue_index,
-                             std::vector<int> subchannels, bool uplink) const;
+                             std::span<const int> subchannels, bool uplink) const;
   DeliveryResult Complete(const Transmission& tx, double sinr_db, Rng& rng, bool uplink);
 
   CellId id_;
@@ -145,6 +175,10 @@ class EnodeB {
   /// Scratch for the background-masked allowed set (avoids a per-subframe
   /// allocation on the hot path).
   std::vector<bool> background_mask_scratch_;
+  /// Planning scratch, reused every subframe: the scheduler's input view
+  /// of the UE list and its output.
+  std::vector<UeContext*> ue_ptrs_;
+  SubchannelAssignment assignment_;
   std::uint64_t total_dl_bits_ = 0;
   std::uint64_t total_ul_bits_ = 0;
   ScheduleStats schedule_stats_;

@@ -488,8 +488,7 @@ bool LteNetwork::LbtMayTransmit(CellRec& rec) {
 void LteNetwork::ResetPlans() {
   EnsureShardState();
   for (CellRec& rec : cells_) {
-    rec.current_plan = TxPlan{};
-    rec.current_plan.data_active.assign(static_cast<std::size_t>(num_subchannels_), false);
+    rec.current_plan.Clear(num_subchannels_);
     rec.plan_is_data = false;
   }
 }
@@ -506,7 +505,9 @@ void LteNetwork::StageTransmissions(const LinkOf& link_of) {
       const TxPlan& plan = cells_[static_cast<std::size_t>(c)].current_plan;
       std::vector<double>& staged = staged_tb_sinr_[static_cast<std::size_t>(c)];
       staged.clear();
-      staged.reserve(plan.transmissions.size());
+      // At most one transmission per UE: sized by the UE list, the buffer
+      // grows only when the cell gains a UE, never with a busier plan.
+      staged.reserve(cells_[static_cast<std::size_t>(c)].mac->ues().size());
       for (const Transmission& tx : plan.transmissions) {
         const StagedLink link = link_of(static_cast<CellId>(c), tx);
         double sinr_linear_sum = 0.0;
@@ -556,7 +557,7 @@ void LteNetwork::RunDownlinkSubframe() {
     for (int c : shard_grid_->cells(s)) {
       if (!plan_pending_[static_cast<std::size_t>(c)]) continue;
       CellRec& rec = cells_[static_cast<std::size_t>(c)];
-      rec.current_plan = rec.mac->PlanDownlink();
+      rec.mac->PlanDownlink(rec.current_plan);
       rec.plan_is_data = true;
     }
   });
@@ -629,16 +630,11 @@ void LteNetwork::RunDownlinkSubframe() {
       const double tb_sinr_db = staged_tb_sinr_[c][i];
       const DeliveryResult result = rec.mac->CompleteDownlink(tx, tb_sinr_db, rng_);
       if (result.delivered) {
-        if (tx.ue_index >= 0 && tx.ue_index < static_cast<int>(served_bits.size())) {
-          served_bits[static_cast<std::size_t>(tx.ue_index)] +=
-              8.0 * static_cast<double>(result.payload_bytes);
-        }
+        served_bits[static_cast<std::size_t>(tx.ue_index)] +=
+            8.0 * static_cast<double>(result.payload_bytes);
         // TCP ACK clocking: delivered downlink generates uplink demand.
-        UeContext* ctx = rec.mac->FindUe(tx.ue);
-        if (ctx != nullptr) {
-          ctx->EnqueueUplink(static_cast<std::uint64_t>(
-              static_cast<double>(result.payload_bytes) * info.ul_ack_ratio));
-        }
+        rec.mac->UeOf(tx).EnqueueUplink(static_cast<std::uint64_t>(
+            static_cast<double>(result.payload_bytes) * info.ul_ack_ratio));
         if (on_dl_delivered) on_dl_delivered(tx.ue, result.payload_bytes, sim_.Now());
         if (obs::MetricsRegistry* mr = obs::ActiveMetrics()) {
           mr->Add(mr->Counter("lte.dl_delivered_bytes"), result.payload_bytes);
@@ -673,7 +669,7 @@ void LteNetwork::RunUplinkSubframe() {
     for (int c : shard_grid_->cells(s)) {
       CellRec& rec = cells_[static_cast<std::size_t>(c)];
       if (!rec.active || !rec.mac->has_ues()) continue;
-      rec.current_plan = rec.mac->PlanUplink();
+      rec.mac->PlanUplink(rec.current_plan);
     }
   });
 

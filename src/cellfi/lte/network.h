@@ -232,7 +232,7 @@ class LteNetwork {
   void RunUplinkSubframe();
   void GenerateCqiReports();
   /// Serial subframe entry for both directions: build the shard state and
-  /// clear every cell's plan.
+  /// clear every cell's plan, keeping its buffers (DESIGN.md §21).
   void ResetPlans();
   /// One transmission's link as its direction sees it.
   struct StagedLink {

@@ -1,8 +1,8 @@
 #include "cellfi/lte/scheduler.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
-#include <numeric>
 
 #include "cellfi/obs/metrics.h"
 #include "cellfi/obs/trace.h"
@@ -19,38 +19,84 @@ int EffectiveSubbandCqi(const UeContext& ue, int subchannel) {
   return ue.SubbandCqi(subchannel);
 }
 
-/// Claim up to `count` of the UE's best allowed, unassigned subchannels.
-int ClaimBest(const UeContext& ue, int count, const std::vector<bool>& allowed_mask,
-              SubchannelAssignment& assignment, int ue_index) {
-  const auto ranked = RankSubchannelsByCqi(ue, allowed_mask);
-  int claimed = 0;
-  for (int s : ranked) {
-    if (claimed >= count) break;
-    if (assignment[static_cast<std::size_t>(s)] != -1) continue;
-    assignment[static_cast<std::size_t>(s)] = ue_index;
-    ++claimed;
-  }
-  return claimed;
-}
-
-class ProportionalFairScheduler final : public Scheduler {
+/// What every concrete scheduler shares: the HARQ-first claim, the one
+/// backlog-ordered uplink policy, and the ranking/order scratch they run
+/// on. The scratch grows to the subchannel and UE counts once and is then
+/// reused, so a steady-state pass allocates nothing.
+class SchedulerBase : public Scheduler {
  public:
-  SubchannelAssignment AssignDownlink(const std::vector<UeContext*>& ues,
-                                      const std::vector<bool>& allowed_mask) override {
-    SubchannelAssignment assignment(allowed_mask.size(), -1);
+  void AssignUplink(const std::vector<UeContext*>& ues, const std::vector<bool>& allowed_mask,
+                    int data_re_per_rb, int rbs_per_subchannel,
+                    SubchannelAssignment& out) final {
+    out.assign(allowed_mask.size(), -1);
 
-    // HARQ retransmissions first: same width as the original block.
+    // Serve UEs in decreasing backlog; size each grant to the demand so a
+    // TCP-ACK-only uplink occupies a single (best) subchannel.
+    OrderByUplinkBacklog(ues, order_);
+    for (std::size_t u : order_) {
+      const UeContext& ue = *ues[u];
+      std::uint64_t needed_bits = 8 * ue.ul_queue_bytes();
+      if (ue.harq_ul().active) {
+        ClaimBest(ue, ue.harq_ul().num_subchannels, allowed_mask, out, static_cast<int>(u));
+        continue;
+      }
+      if (needed_bits == 0) continue;
+      RankSubchannelsByCqi(ue, allowed_mask, ranked_);
+      for (int s : ranked_) {
+        if (needed_bits == 0) break;
+        if (out[static_cast<std::size_t>(s)] != -1) continue;
+        out[static_cast<std::size_t>(s)] = static_cast<int>(u);
+        const int cqi = EffectiveSubbandCqi(ue, s);
+        const std::uint64_t tb =
+            static_cast<std::uint64_t>(TransportBlockBits(cqi, rbs_per_subchannel,
+                                                          data_re_per_rb));
+        needed_bits -= std::min(needed_bits, std::max<std::uint64_t>(tb, 1));
+      }
+    }
+  }
+
+ protected:
+  /// Start of every downlink pass: clear `out`, then give each pending
+  /// HARQ retransmission its original width on its best subchannels.
+  void ClaimHarqRetransmissions(const std::vector<UeContext*>& ues,
+                                const std::vector<bool>& allowed_mask,
+                                SubchannelAssignment& out) {
+    out.assign(allowed_mask.size(), -1);
     for (std::size_t u = 0; u < ues.size(); ++u) {
       const HarqState& h = ues[u]->harq_dl();
       if (h.active) {
-        ClaimBest(*ues[u], h.num_subchannels, allowed_mask, assignment,
-                  static_cast<int>(u));
+        ClaimBest(*ues[u], h.num_subchannels, allowed_mask, out, static_cast<int>(u));
       }
     }
+  }
+
+ private:
+  /// Claim up to `count` of the UE's best allowed, unassigned subchannels.
+  void ClaimBest(const UeContext& ue, int count, const std::vector<bool>& allowed_mask,
+                 SubchannelAssignment& out, int ue_index) {
+    RankSubchannelsByCqi(ue, allowed_mask, ranked_);
+    int claimed = 0;
+    for (int s : ranked_) {
+      if (claimed >= count) break;
+      if (out[static_cast<std::size_t>(s)] != -1) continue;
+      out[static_cast<std::size_t>(s)] = ue_index;
+      ++claimed;
+    }
+  }
+
+  std::vector<int> ranked_;
+  std::vector<std::size_t> order_;
+};
+
+class ProportionalFairScheduler final : public SchedulerBase {
+ public:
+  void AssignDownlink(const std::vector<UeContext*>& ues, const std::vector<bool>& allowed_mask,
+                      SubchannelAssignment& out) override {
+    ClaimHarqRetransmissions(ues, allowed_mask, out);
 
     // PF metric per (subchannel, ue): instantaneous rate / average rate.
     for (std::size_t s = 0; s < allowed_mask.size(); ++s) {
-      if (!allowed_mask[s] || assignment[s] != -1) continue;
+      if (!allowed_mask[s] || out[s] != -1) continue;
       double best_metric = 0.0;
       int best_ue = -1;
       for (std::size_t u = 0; u < ues.size(); ++u) {
@@ -64,45 +110,8 @@ class ProportionalFairScheduler final : public Scheduler {
           best_ue = static_cast<int>(u);
         }
       }
-      assignment[s] = best_ue;
+      out[s] = best_ue;
     }
-    return assignment;
-  }
-
-  SubchannelAssignment AssignUplink(const std::vector<UeContext*>& ues,
-                                    const std::vector<bool>& allowed_mask,
-                                    int data_re_per_rb, int rbs_per_subchannel) override {
-    SubchannelAssignment assignment(allowed_mask.size(), -1);
-
-    // Serve UEs in decreasing backlog; size each grant to the demand so a
-    // TCP-ACK-only uplink occupies a single (best) subchannel.
-    std::vector<std::size_t> order(ues.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return ues[a]->ul_queue_bytes() > ues[b]->ul_queue_bytes();
-    });
-
-    for (std::size_t u : order) {
-      UeContext& ue = *ues[u];
-      std::uint64_t needed_bits = 8 * ue.ul_queue_bytes();
-      if (ue.harq_ul().active) {
-        ClaimBest(ue, ue.harq_ul().num_subchannels, allowed_mask, assignment,
-                  static_cast<int>(u));
-        continue;
-      }
-      if (needed_bits == 0) continue;
-      for (int s : RankSubchannelsByCqi(ue, allowed_mask)) {
-        if (needed_bits == 0) break;
-        if (assignment[static_cast<std::size_t>(s)] != -1) continue;
-        assignment[static_cast<std::size_t>(s)] = static_cast<int>(u);
-        const int cqi = EffectiveSubbandCqi(ue, s);
-        const std::uint64_t tb =
-            static_cast<std::uint64_t>(TransportBlockBits(cqi, rbs_per_subchannel,
-                                                          data_re_per_rb));
-        needed_bits -= std::min(needed_bits, std::max<std::uint64_t>(tb, 1));
-      }
-    }
-    return assignment;
   }
 };
 
@@ -110,20 +119,13 @@ class ProportionalFairScheduler final : public Scheduler {
 // Maximizes cell throughput; cell-edge users starve whenever someone with
 // better CQI wants the same subchannels (the classic fairness trade-off the
 // PF scheduler exists to fix).
-class MaxCqiScheduler final : public Scheduler {
+class MaxCqiScheduler final : public SchedulerBase {
  public:
-  SubchannelAssignment AssignDownlink(const std::vector<UeContext*>& ues,
-                                      const std::vector<bool>& allowed_mask) override {
-    SubchannelAssignment assignment(allowed_mask.size(), -1);
-    for (std::size_t u = 0; u < ues.size(); ++u) {
-      const HarqState& h = ues[u]->harq_dl();
-      if (h.active) {
-        ClaimBest(*ues[u], h.num_subchannels, allowed_mask, assignment,
-                  static_cast<int>(u));
-      }
-    }
+  void AssignDownlink(const std::vector<UeContext*>& ues, const std::vector<bool>& allowed_mask,
+                      SubchannelAssignment& out) override {
+    ClaimHarqRetransmissions(ues, allowed_mask, out);
     for (std::size_t s = 0; s < allowed_mask.size(); ++s) {
-      if (!allowed_mask[s] || assignment[s] != -1) continue;
+      if (!allowed_mask[s] || out[s] != -1) continue;
       int best_cqi = 0;
       int best_ue = -1;
       for (std::size_t u = 0; u < ues.size(); ++u) {
@@ -135,55 +137,31 @@ class MaxCqiScheduler final : public Scheduler {
           best_ue = static_cast<int>(u);
         }
       }
-      assignment[s] = best_ue;
+      out[s] = best_ue;
     }
-    return assignment;
-  }
-
-  SubchannelAssignment AssignUplink(const std::vector<UeContext*>& ues,
-                                    const std::vector<bool>& allowed_mask,
-                                    int data_re_per_rb, int rbs_per_subchannel) override {
-    ProportionalFairScheduler pf;
-    return pf.AssignUplink(ues, allowed_mask, data_re_per_rb, rbs_per_subchannel);
   }
 };
 
-class RoundRobinScheduler final : public Scheduler {
+class RoundRobinScheduler final : public SchedulerBase {
  public:
-  SubchannelAssignment AssignDownlink(const std::vector<UeContext*>& ues,
-                                      const std::vector<bool>& allowed_mask) override {
-    SubchannelAssignment assignment(allowed_mask.size(), -1);
-    for (std::size_t u = 0; u < ues.size(); ++u) {
-      const HarqState& h = ues[u]->harq_dl();
-      if (h.active) {
-        ClaimBest(*ues[u], h.num_subchannels, allowed_mask, assignment,
-                  static_cast<int>(u));
-      }
-    }
-    if (ues.empty()) return assignment;
+  void AssignDownlink(const std::vector<UeContext*>& ues, const std::vector<bool>& allowed_mask,
+                      SubchannelAssignment& out) override {
+    ClaimHarqRetransmissions(ues, allowed_mask, out);
+    if (ues.empty()) return;
     std::size_t cursor = cursor_++ % ues.size();
     for (std::size_t s = 0; s < allowed_mask.size(); ++s) {
-      if (!allowed_mask[s] || assignment[s] != -1) continue;
+      if (!allowed_mask[s] || out[s] != -1) continue;
       for (std::size_t probe = 0; probe < ues.size(); ++probe) {
         const UeContext& ue = *ues[cursor % ues.size()];
         if (!ue.harq_dl().active && ue.dl_queue_bytes() > 0 &&
             EffectiveSubbandCqi(ue, static_cast<int>(s)) >= kMinCqi) {
-          assignment[s] = static_cast<int>(cursor % ues.size());
+          out[s] = static_cast<int>(cursor % ues.size());
           ++cursor;
           break;
         }
         ++cursor;
       }
     }
-    return assignment;
-  }
-
-  SubchannelAssignment AssignUplink(const std::vector<UeContext*>& ues,
-                                    const std::vector<bool>& allowed_mask,
-                                    int data_re_per_rb, int rbs_per_subchannel) override {
-    // Uplink sizing is demand-driven either way; reuse the PF logic.
-    ProportionalFairScheduler pf;
-    return pf.AssignUplink(ues, allowed_mask, data_re_per_rb, rbs_per_subchannel);
   }
 
  private:
@@ -199,24 +177,22 @@ class ObservedScheduler final : public Scheduler {
   explicit ObservedScheduler(std::unique_ptr<Scheduler> inner)
       : inner_(std::move(inner)) {}
 
-  SubchannelAssignment AssignDownlink(const std::vector<UeContext*>& ues,
-                                      const std::vector<bool>& allowed_mask) override {
-    return Observe("sched.dl_assigned_frac",
-                   inner_->AssignDownlink(ues, allowed_mask), allowed_mask);
+  void AssignDownlink(const std::vector<UeContext*>& ues, const std::vector<bool>& allowed_mask,
+                      SubchannelAssignment& out) override {
+    inner_->AssignDownlink(ues, allowed_mask, out);
+    Observe("sched.dl_assigned_frac", out, allowed_mask);
   }
 
-  SubchannelAssignment AssignUplink(const std::vector<UeContext*>& ues,
-                                    const std::vector<bool>& allowed_mask,
-                                    int data_re_per_rb, int rbs_per_subchannel) override {
-    return Observe("sched.ul_assigned_frac",
-                   inner_->AssignUplink(ues, allowed_mask, data_re_per_rb,
-                                        rbs_per_subchannel),
-                   allowed_mask);
+  void AssignUplink(const std::vector<UeContext*>& ues, const std::vector<bool>& allowed_mask,
+                    int data_re_per_rb, int rbs_per_subchannel,
+                    SubchannelAssignment& out) override {
+    inner_->AssignUplink(ues, allowed_mask, data_re_per_rb, rbs_per_subchannel, out);
+    Observe("sched.ul_assigned_frac", out, allowed_mask);
   }
 
  private:
-  static SubchannelAssignment Observe(const char* name, SubchannelAssignment a,
-                                      const std::vector<bool>& allowed_mask) {
+  static void Observe(const char* name, const SubchannelAssignment& a,
+                      const std::vector<bool>& allowed_mask) {
     if (obs::MetricsRegistry* m = obs::ActiveMetrics()) {
       int assigned = 0;
       int allowed = 0;
@@ -230,7 +206,6 @@ class ObservedScheduler final : public Scheduler {
                    static_cast<double>(assigned) / static_cast<double>(allowed));
       }
     }
-    return a;
   }
 
   std::unique_ptr<Scheduler> inner_;
@@ -238,19 +213,48 @@ class ObservedScheduler final : public Scheduler {
 
 }  // namespace
 
-std::vector<int> RankSubchannelsByCqi(const UeContext& ue,
-                                      const std::vector<bool>& allowed_mask) {
-  std::vector<int> ranked;
-  ranked.reserve(allowed_mask.size());
+void RankSubchannelsByCqi(const UeContext& ue, const std::vector<bool>& allowed_mask,
+                          std::vector<int>& out) {
+  // Counting sort: bucket each allowed subchannel by its CQI, lay the
+  // buckets out from CQI 15 down to 0, and fill each bucket in ascending
+  // subchannel order. That is exactly std::stable_sort by `ca > cb`,
+  // without its merge buffer.
+  std::array<int, kMaxCqi + 1> next{};
+  int total = 0;
   for (std::size_t s = 0; s < allowed_mask.size(); ++s) {
-    if (allowed_mask[s]) ranked.push_back(static_cast<int>(s));
+    if (!allowed_mask[s]) continue;
+    const int cqi = EffectiveSubbandCqi(ue, static_cast<int>(s));
+    assert(cqi >= 0 && cqi <= kMaxCqi);
+    ++next[static_cast<std::size_t>(cqi)];
+    ++total;
   }
-  std::stable_sort(ranked.begin(), ranked.end(), [&](int a, int b) {
-    const int ca = ue.has_cqi() ? ue.SubbandCqi(a) : kMinCqi;
-    const int cb = ue.has_cqi() ? ue.SubbandCqi(b) : kMinCqi;
-    return ca > cb;
-  });
-  return ranked;
+  int pos = 0;
+  for (int c = kMaxCqi; c >= 0; --c) {
+    const int count = next[static_cast<std::size_t>(c)];
+    next[static_cast<std::size_t>(c)] = pos;
+    pos += count;
+  }
+  out.reserve(allowed_mask.size());
+  out.resize(static_cast<std::size_t>(total));
+  for (std::size_t s = 0; s < allowed_mask.size(); ++s) {
+    if (!allowed_mask[s]) continue;
+    const int cqi = EffectiveSubbandCqi(ue, static_cast<int>(s));
+    out[static_cast<std::size_t>(next[static_cast<std::size_t>(cqi)]++)] = static_cast<int>(s);
+  }
+}
+
+void OrderByUplinkBacklog(const std::vector<UeContext*>& ues, std::vector<std::size_t>& out) {
+  // Insertion sort, shifting only strictly smaller backlogs: equal
+  // backlogs keep list order, as std::stable_sort would (without its
+  // merge buffer). Cells hold a handful of UEs.
+  out.clear();
+  for (std::size_t u = 0; u < ues.size(); ++u) {
+    const std::uint64_t backlog = ues[u]->ul_queue_bytes();
+    out.push_back(u);
+    std::size_t i = out.size() - 1;
+    for (; i > 0 && ues[out[i - 1]]->ul_queue_bytes() < backlog; --i) out[i] = out[i - 1];
+    out[i] = u;
+  }
 }
 
 std::unique_ptr<Scheduler> MakeScheduler(SchedulerType type) {

@@ -6,7 +6,10 @@
 namespace cellfi::lte {
 
 UeContext::UeContext(UeId id, int num_subchannels)
-    : id_(id), subband_cqi_(static_cast<std::size_t>(num_subchannels), 0) {}
+    : dl_blocks(num_subchannels),
+      ul_blocks(num_subchannels),
+      id_(id),
+      subband_cqi_(static_cast<std::size_t>(num_subchannels), 0) {}
 
 void UeContext::DrainDownlink(std::uint64_t bytes) {
   dl_queue_bytes_ -= std::min(dl_queue_bytes_, bytes);
@@ -24,10 +27,8 @@ void UeContext::ImportOnHandover(const UeContext& old) {
   dl_lost_blocks = old.dl_lost_blocks;
   dl_total_blocks = old.dl_total_blocks;
   dl_harq_retx_blocks = old.dl_harq_retx_blocks;
-  code_rate_log = old.code_rate_log;
-  ul_code_rate_log = old.ul_code_rate_log;
-  channel_fraction_log = old.channel_fraction_log;
-  ul_channel_fraction_log = old.ul_channel_fraction_log;
+  dl_blocks = old.dl_blocks;
+  ul_blocks = old.ul_blocks;
 }
 
 void UeContext::UpdateCqi(int wideband, const std::vector<int>& subband) {
@@ -44,7 +45,7 @@ void UeContext::UpdatePfAverage(double bits_served, double window_subframes) {
   average_rate_ = std::max(average_rate_, 1e-3);
 }
 
-int AggregateCqi(const std::vector<int>& subband_cqi, const std::vector<int>& subchannels) {
+int AggregateCqi(const std::vector<int>& subband_cqi, std::span<const int> subchannels) {
   if (subchannels.empty()) return 0;
   double mean_eff = 0.0;
   for (int s : subchannels) {

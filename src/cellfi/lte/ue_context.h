@@ -2,7 +2,10 @@
 // proportional-fair average rate.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cellfi/lte/types.h"
@@ -23,6 +26,25 @@ struct HarqState {
   void Clear() { *this = HarqState{}; }
 };
 
+/// Delivered transport blocks of one direction, counted by MCS and by
+/// grant width: the same multiset a per-block log of code rate
+/// (CqiCodeRate(cqi)) and channel fraction (width / num_subchannels) would
+/// hold (Fig. 1(b)/(c)), in storage that does not grow with the run.
+struct DeliveryCounts {
+  explicit DeliveryCounts(int num_subchannels)
+      : by_width(static_cast<std::size_t>(num_subchannels) + 1, 0) {}
+
+  void Count(int cqi, std::size_t width) {
+    ++by_cqi[static_cast<std::size_t>(cqi)];
+    ++by_width[width];
+  }
+
+  /// Blocks delivered at each CQI, 0..kMaxCqi.
+  std::array<std::uint64_t, kMaxCqi + 1> by_cqi{};
+  /// Blocks delivered on each grant width, 0..num_subchannels subchannels.
+  std::vector<std::uint64_t> by_width;
+};
+
 /// eNodeB-side context for one connected UE.
 class UeContext {
  public:
@@ -39,7 +61,8 @@ class UeContext {
   void DrainUplink(std::uint64_t bytes);
 
   // --- CQI ----------------------------------------------------------------
-  /// Store a decoded mode 3-0 report (wideband + per-subchannel).
+  /// Store a decoded mode 3-0 report (wideband + per-subchannel). Sub-band
+  /// values are CQI indices, 0..kMaxCqi (the ranking buckets by them).
   void UpdateCqi(int wideband, const std::vector<int>& subband);
   int wideband_cqi() const { return wideband_cqi_; }
   int SubbandCqi(int subchannel) const { return subband_cqi_[static_cast<std::size_t>(subchannel)]; }
@@ -69,13 +92,9 @@ class UeContext {
   std::uint64_t dl_lost_blocks = 0;
   std::uint64_t dl_total_blocks = 0;
   std::uint64_t dl_harq_retx_blocks = 0;
-  /// Histogram of code rates used, one entry per delivered block (for
-  /// Fig. 1(b)), split by direction.
-  std::vector<double> code_rate_log;
-  std::vector<double> ul_code_rate_log;
-  /// Fraction of the channel used per scheduled subframe (Fig. 1(c)).
-  std::vector<double> channel_fraction_log;
-  std::vector<double> ul_channel_fraction_log;
+  /// Delivered blocks by MCS and grant width, per direction (Fig. 1(b)/(c)).
+  DeliveryCounts dl_blocks;
+  DeliveryCounts ul_blocks;
 
  private:
   UeId id_;
@@ -92,6 +111,6 @@ class UeContext {
 /// Aggregate CQI for a multi-subchannel allocation: the CQI whose spectral
 /// efficiency best matches the mean efficiency of the allocated
 /// subchannels (one MCS covers the whole transport block in LTE).
-int AggregateCqi(const std::vector<int>& subband_cqi, const std::vector<int>& subchannels);
+int AggregateCqi(const std::vector<int>& subband_cqi, std::span<const int> subchannels);
 
 }  // namespace cellfi::lte

@@ -7,36 +7,26 @@ namespace cellfi {
 EventId Simulator::ScheduleAt(SimTime when, Callback cb) {
   assert(when >= now_);
   const std::uint64_t seq = next_seq_++;
-  queue_.push(Event{when, seq, std::move(cb)});
+  queue_.push(Event{when, seq, 0, 0, std::move(cb)});
   return EventId(seq);
 }
 
 EventId Simulator::SchedulePeriodic(SimTime period, Callback cb) {
   assert(period > 0);
-  auto alive = std::make_shared<bool>(true);
-  auto tick = std::make_shared<std::function<void()>>();
-  // The tick function holds only a weak reference to itself; the strong
-  // reference lives in the pending queue event. Otherwise the cycle
-  // tick -> lambda -> tick would keep every periodic closure alive forever.
-  *tick = [this, period, cb = std::move(cb), alive,
-           weak = std::weak_ptr<std::function<void()>>(tick)]() {
-    if (!*alive) return;
-    cb();
-    if (*alive) {
-      if (auto self = weak.lock()) ScheduleAfter(period, [self]() { (*self)(); });
-    }
-  };
-  EventId first = ScheduleAfter(period, [tick]() { (*tick)(); });
-  periodic_alive_[first.seq_] = alive;
-  return first;
+  const std::uint64_t seq = next_seq_++;
+  const std::size_t chain = chain_alive_.size();
+  chain_alive_.push_back(true);
+  chain_of_first_.emplace(seq, chain);
+  queue_.push(Event{now_ + period, seq, period, chain, std::move(cb)});
+  return EventId(seq);
 }
 
 void Simulator::Cancel(EventId id) {
   if (!id.valid()) return;
-  auto it = periodic_alive_.find(id.seq_);
-  if (it != periodic_alive_.end()) {
-    *it->second = false;
-    periodic_alive_.erase(it);
+  auto it = chain_of_first_.find(id.seq_);
+  if (it != chain_of_first_.end()) {
+    chain_alive_[it->second] = false;
+    chain_of_first_.erase(it);
   }
   cancelled_.insert(id.seq_);
 }
@@ -52,8 +42,14 @@ void Simulator::ExecuteNext() {
     cancelled_.erase(it);
     return;
   }
+  // A cancelled chain's pending later occurrence still pops and counts as
+  // executed; it just runs nothing.
   ++executed_;
+  if (ev.period > 0 && !chain_alive_[ev.chain]) return;
   ev.cb();
+  if (ev.period > 0 && chain_alive_[ev.chain]) {
+    queue_.push(Event{now_ + ev.period, next_seq_++, ev.period, ev.chain, std::move(ev.cb)});
+  }
 }
 
 void Simulator::RunUntil(SimTime until) {

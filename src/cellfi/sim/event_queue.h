@@ -5,9 +5,9 @@
 // makes runs deterministic for a fixed seed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
@@ -46,7 +46,11 @@ class Simulator {
   }
 
   /// Schedule `cb` every `period`, starting at Now() + `period`.
-  /// Returns the id of the *first* occurrence; cancelling it stops the chain.
+  /// Returns the id of the *first* occurrence; cancelling it stops the chain
+  /// (also from inside `cb`). Each later occurrence takes its sequence
+  /// number after the previous one's callback returns, and is re-armed by
+  /// moving the callback back into the queue, so a running chain never
+  /// allocates.
   EventId SchedulePeriodic(SimTime period, Callback cb);
 
   /// Cancel a pending event. Safe to call for already-fired events (no-op).
@@ -69,6 +73,8 @@ class Simulator {
   struct Event {
     SimTime when;
     std::uint64_t seq;
+    SimTime period;     // re-arm interval; 0 = one-shot
+    std::size_t chain;  // periodic only: index into chain_alive_
     Callback cb;
   };
   struct Later {
@@ -84,7 +90,10 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::unordered_set<std::uint64_t> cancelled_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<bool>> periodic_alive_;
+  /// Periodic chains: the first occurrence's seq (the id Cancel receives)
+  /// -> the chain's alive flag. Cancel erases the entry and clears the flag.
+  std::unordered_map<std::uint64_t, std::size_t> chain_of_first_;
+  std::vector<bool> chain_alive_;
 };
 
 }  // namespace cellfi

@@ -1,0 +1,175 @@
+// Allocation gate (DESIGN.md §21): a steady-state LTE subframe makes no
+// heap allocation. Plans, scheduler output, ranking scratch and per-UE
+// delivery statistics are all reused in place, and periodic events re-arm
+// without allocating, so once a network has warmed up, running it touches
+// the heap zero times.
+//
+// This binary replaces the global operator new/delete with a counting pair,
+// which is why it is its own executable. Sanitizer builds own operator new
+// themselves, so there the replacement is compiled out and the test skips.
+#include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <ostream>
+#include <string>
+
+#include <gtest/gtest.h>
+
+#include "cellfi/lte/network.h"
+#include "cellfi/radio/pathloss.h"
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CELLFI_ALLOC_GATE_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CELLFI_ALLOC_GATE_SANITIZED 1
+#endif
+#endif
+
+namespace {
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+#ifndef CELLFI_ALLOC_GATE_SANITIZED
+namespace {
+// Out of line so the compiler never pairs an inlined operator delete's
+// free() with the operator new it sees at the call site.
+[[gnu::noinline]] void ReleaseBlock(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  const std::size_t a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+void operator delete(void* p) noexcept { ReleaseBlock(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::align_val_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  ::operator delete(p);
+}
+#endif
+
+namespace cellfi::lte {
+namespace {
+
+struct GateCase {
+  const char* name;
+  SchedulerType scheduler;
+  double background_demand;
+};
+
+std::string GateName(const ::testing::TestParamInfo<GateCase>& param) {
+  return param.param.name;
+}
+void PrintTo(const GateCase& gate, std::ostream* os) { *os << gate.name; }
+
+class SteadyStateSubframeTest : public ::testing::TestWithParam<GateCase> {};
+
+TEST_P(SteadyStateSubframeTest, AllocatesNothing) {
+#ifdef CELLFI_ALLOC_GATE_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes replace operator new; the counting "
+                  "replacement is compiled out";
+#else
+  const GateCase& gate = GetParam();
+  constexpr int kCells = 14;
+  constexpr int kUesPerCell = 6;
+
+  HataUrbanPathLoss pathloss(15.0, 1.5);
+  RadioEnvironmentConfig env_cfg;
+  env_cfg.carrier_freq_hz = 600e6;
+  env_cfg.shadowing_sigma_db = 4.0;
+  env_cfg.enable_fading = true;
+  env_cfg.seed = 5;
+  RadioEnvironment env(pathloss, env_cfg);
+  Simulator sim;
+  LteNetworkConfig net_cfg;
+  net_cfg.seed = 9;
+  LteNetwork net(sim, env, net_cfg);
+
+  // Two rows of seven APs 500 m apart; each AP's six clients sit 60-110 m
+  // away and are pinned to it, so no client hands over, detaches or
+  // re-attaches inside the measured window.
+  LteMacConfig mac;
+  mac.bandwidth = LteBandwidth::k5MHz;
+  mac.tdd_config = 4;
+  mac.scheduler = gate.scheduler;
+  std::vector<UeId> ues;
+  for (int c = 0; c < kCells; ++c) {
+    const Point ap{500.0 * (c % 7), 500.0 * (c / 7)};
+    const CellId cell = net.AddCell(
+        mac, env.AddNode({.position = ap, .antenna = Antenna::Omni(6.0), .tx_power_dbm = 30.0}));
+    if (gate.background_demand > 0.0) net.SetBackgroundLoad(cell, gate.background_demand);
+    for (int u = 0; u < kUesPerCell; ++u) {
+      const double r = 60.0 + 10.0 * u;
+      const double angle = 1.047 * u;
+      const RadioNodeId radio = env.AddNode(
+          {.position = {ap.x + r * std::cos(angle), ap.y + r * std::sin(angle)},
+           .tx_power_dbm = 20.0});
+      ues.push_back(net.AddUe(radio, cell));
+    }
+  }
+
+  // Backlogged downlink: every client's queue is refilled far beyond what
+  // its cell can send between refills.
+  sim.SchedulePeriodic(100 * kMillisecond, [&net, &ues] {
+    for (UeId ue : ues) net.OfferDownlink(ue, 4 << 20);
+  });
+  std::uint64_t delivered = 0;
+  net.on_dl_delivered = [&delivered](UeId, std::uint64_t bytes, SimTime) {
+    delivered += bytes;
+  };
+  net.Start();
+
+  const SimTime warmup = 2 * kSecond;
+  const SimTime window = 1000 * kSubframeDuration;
+  sim.RunUntil(warmup);
+  const std::uint64_t events_before = sim.executed_events();
+  const std::uint64_t delivered_before = delivered;
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  sim.RunUntil(warmup + window);
+  g_counting.store(false);
+  const std::uint64_t allocations = g_allocations.load();
+
+  // The window really ran loaded subframes.
+  EXPECT_GE(sim.executed_events() - events_before, 1000u);
+  EXPECT_GT(delivered, delivered_before);
+  for (UeId ue : ues) EXPECT_EQ(net.ue(ue).state, UeState::kConnected) << ue;
+  EXPECT_EQ(allocations, 0u) << "heap allocations over 1000 steady-state subframes";
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedulers, SteadyStateSubframeTest,
+    ::testing::Values(GateCase{"ProportionalFair", SchedulerType::kProportionalFair, 0.0},
+                      GateCase{"RoundRobin", SchedulerType::kRoundRobin, 0.0},
+                      GateCase{"MaxCqi", SchedulerType::kMaxCqi, 0.0},
+                      GateCase{"ProportionalFairBackground", SchedulerType::kProportionalFair,
+                               0.3}),
+    GateName);
+
+}  // namespace
+}  // namespace cellfi::lte

@@ -26,7 +26,8 @@ TEST(EnodebTest, AddFindRemoveUe) {
 TEST(EnodebTest, PlanEmptyWithoutTraffic) {
   EnodeB enb(0, Config5MHz());
   enb.AddUe(1);
-  const TxPlan plan = enb.PlanDownlink();
+  TxPlan plan;
+  enb.PlanDownlink(plan);
   EXPECT_TRUE(plan.transmissions.empty());
   for (bool b : plan.data_active) EXPECT_FALSE(b);
 }
@@ -36,7 +37,8 @@ TEST(EnodebTest, BackloggedUeGetsFullBand) {
   UeContext& ue = enb.AddUe(1);
   ue.EnqueueDownlink(1 << 20);
   ue.UpdateCqi(10, std::vector<int>(13, 10));
-  const TxPlan plan = enb.PlanDownlink();
+  TxPlan plan;
+  enb.PlanDownlink(plan);
   ASSERT_EQ(plan.transmissions.size(), 1u);
   EXPECT_EQ(plan.transmissions[0].subchannels.size(), 13u);
   EXPECT_EQ(plan.transmissions[0].cqi, 10);
@@ -52,7 +54,8 @@ TEST(EnodebTest, AllowedMaskLimitsPlan) {
   mask[0] = mask[1] = mask[2] = true;
   enb.SetAllowedMask(mask);
   EXPECT_EQ(enb.allowed_count(), 3);
-  const TxPlan plan = enb.PlanDownlink();
+  TxPlan plan;
+  enb.PlanDownlink(plan);
   ASSERT_EQ(plan.transmissions.size(), 1u);
   EXPECT_EQ(plan.transmissions[0].subchannels.size(), 3u);
 }
@@ -62,7 +65,8 @@ TEST(EnodebTest, SmallPayloadStillUsesWholeAllocation) {
   UeContext& ue = enb.AddUe(1);
   ue.EnqueueDownlink(100);  // one small packet
   ue.UpdateCqi(10, std::vector<int>(13, 10));
-  const TxPlan plan = enb.PlanDownlink();
+  TxPlan plan;
+  enb.PlanDownlink(plan);
   ASSERT_EQ(plan.transmissions.size(), 1u);
   EXPECT_EQ(plan.transmissions[0].payload_bytes, 100u);
 }
@@ -73,7 +77,8 @@ TEST(EnodebTest, DeliverySuccessDrainsQueueAndCounts) {
   ue.EnqueueDownlink(10000);
   ue.UpdateCqi(10, std::vector<int>(13, 10));
   Rng rng(1);
-  const TxPlan plan = enb.PlanDownlink();
+  TxPlan plan;
+  enb.PlanDownlink(plan);
   const auto result = enb.CompleteDownlink(plan.transmissions[0], 30.0, rng);
   EXPECT_TRUE(result.delivered);
   EXPECT_EQ(result.attempts, 1);
@@ -81,8 +86,13 @@ TEST(EnodebTest, DeliverySuccessDrainsQueueAndCounts) {
   EXPECT_GT(ue.dl_delivered_bits, 0u);
   EXPECT_GT(enb.total_dl_bits(), 0u);
   EXPECT_FALSE(ue.harq_dl().active);
-  ASSERT_EQ(ue.code_rate_log.size(), 1u);
-  EXPECT_NEAR(ue.code_rate_log[0], CqiCodeRate(10), 1e-12);
+  // Exactly one delivered downlink block, at CQI 10 on all 13 subchannels.
+  for (int cqi = 0; cqi <= kMaxCqi; ++cqi) {
+    EXPECT_EQ(ue.dl_blocks.by_cqi[static_cast<std::size_t>(cqi)], cqi == 10 ? 1u : 0u) << cqi;
+  }
+  for (std::size_t width = 0; width < ue.dl_blocks.by_width.size(); ++width) {
+    EXPECT_EQ(ue.dl_blocks.by_width[width], width == 13 ? 1u : 0u) << width;
+  }
 }
 
 TEST(EnodebTest, DeliveryFailureArmsHarq) {
@@ -91,7 +101,8 @@ TEST(EnodebTest, DeliveryFailureArmsHarq) {
   ue.EnqueueDownlink(10000);
   ue.UpdateCqi(10, std::vector<int>(13, 10));
   Rng rng(1);
-  const TxPlan plan = enb.PlanDownlink();
+  TxPlan plan;
+  enb.PlanDownlink(plan);
   // SINR 30 dB below the MCS: certain failure.
   const auto result = enb.CompleteDownlink(plan.transmissions[0], -20.0, rng);
   EXPECT_FALSE(result.delivered);
@@ -110,7 +121,8 @@ TEST(EnodebTest, HarqDropsAfterMaxAttempts) {
   ue.UpdateCqi(10, std::vector<int>(13, 10));
   Rng rng(1);
   for (int attempt = 1; attempt <= 4; ++attempt) {
-    const TxPlan plan = enb.PlanDownlink();
+    TxPlan plan;
+    enb.PlanDownlink(plan);
     ASSERT_EQ(plan.transmissions.size(), 1u) << attempt;
     EXPECT_EQ(plan.transmissions[0].is_harq_retx, attempt > 1);
     const auto result = enb.CompleteDownlink(plan.transmissions[0], -30.0, rng);
@@ -136,7 +148,8 @@ TEST(EnodebTest, HarqCombiningDeliversMarginalLink) {
     ue.harq_dl().Clear();
     int attempts = 0;
     while (true) {
-      const TxPlan plan = enb.PlanDownlink();
+      TxPlan plan;
+      enb.PlanDownlink(plan);
       const auto result = enb.CompleteDownlink(plan.transmissions[0], sinr, rng);
       ++attempts;
       if (result.delivered) {
@@ -157,12 +170,14 @@ TEST(EnodebTest, RetxPlanKeepsTbsAndCqi) {
   ue.EnqueueDownlink(1 << 20);
   ue.UpdateCqi(12, std::vector<int>(13, 12));
   Rng rng(1);
-  const TxPlan first = enb.PlanDownlink();
+  TxPlan first;
+  enb.PlanDownlink(first);
   const int tb = first.transmissions[0].tb_bits;
   enb.CompleteDownlink(first.transmissions[0], -30.0, rng);
   // CQI change between attempts must not alter the in-flight block.
   ue.UpdateCqi(3, std::vector<int>(13, 3));
-  const TxPlan second = enb.PlanDownlink();
+  TxPlan second;
+  enb.PlanDownlink(second);
   ASSERT_EQ(second.transmissions.size(), 1u);
   EXPECT_TRUE(second.transmissions[0].is_harq_retx);
   EXPECT_EQ(second.transmissions[0].tb_bits, tb);
@@ -175,7 +190,8 @@ TEST(EnodebTest, UplinkDeliveryDrainsUlQueue) {
   ue.EnqueueUplink(66);
   ue.UpdateCqi(10, std::vector<int>(13, 10));
   Rng rng(1);
-  const TxPlan plan = enb.PlanUplink();
+  TxPlan plan;
+  enb.PlanUplink(plan);
   ASSERT_EQ(plan.transmissions.size(), 1u);
   EXPECT_EQ(plan.transmissions[0].subchannels.size(), 1u);
   const auto result = enb.CompleteUplink(plan.transmissions[0], 30.0, rng);
@@ -196,7 +212,8 @@ TEST(EnodebTest, UeWithoutCqiServedAtLowestMcs) {
   EnodeB enb(0, Config5MHz());
   UeContext& ue = enb.AddUe(1);
   ue.EnqueueDownlink(10000);
-  const TxPlan plan = enb.PlanDownlink();
+  TxPlan plan;
+  enb.PlanDownlink(plan);
   ASSERT_EQ(plan.transmissions.size(), 1u);
   EXPECT_EQ(plan.transmissions[0].cqi, kMinCqi);
 }

@@ -1,7 +1,11 @@
 #include "cellfi/lte/scheduler.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include <gtest/gtest.h>
 
+#include "cellfi/common/rng.h"
 #include "cellfi/lte/enodeb.h"
 #include "cellfi/phy/cqi_mcs.h"
 
@@ -31,7 +35,8 @@ class SchedulerFixture : public ::testing::Test {
 TEST_F(SchedulerFixture, PfUsesAllSubchannelsForOneBackloggedUe) {
   MakeUe(0, 1 << 20, 10);
   auto sched = MakeScheduler(SchedulerType::kProportionalFair);
-  const auto a = sched->AssignDownlink(ptrs_, AllAllowed());
+  SubchannelAssignment a;
+  sched->AssignDownlink(ptrs_, AllAllowed(), a);
   for (int owner : a) EXPECT_EQ(owner, 0);
 }
 
@@ -40,7 +45,8 @@ TEST_F(SchedulerFixture, PfRespectsAllowedMask) {
   std::vector<bool> mask(kSubchannels, false);
   mask[2] = mask[5] = true;
   auto sched = MakeScheduler(SchedulerType::kProportionalFair);
-  const auto a = sched->AssignDownlink(ptrs_, mask);
+  SubchannelAssignment a;
+  sched->AssignDownlink(ptrs_, mask, a);
   for (std::size_t s = 0; s < a.size(); ++s) {
     if (s == 2 || s == 5) {
       EXPECT_EQ(a[s], 0);
@@ -54,7 +60,8 @@ TEST_F(SchedulerFixture, PfSkipsUesWithoutData) {
   MakeUe(0, 0, 10);
   MakeUe(1, 1 << 20, 10);
   auto sched = MakeScheduler(SchedulerType::kProportionalFair);
-  const auto a = sched->AssignDownlink(ptrs_, AllAllowed());
+  SubchannelAssignment a;
+  sched->AssignDownlink(ptrs_, AllAllowed(), a);
   for (int owner : a) EXPECT_EQ(owner, 1);
 }
 
@@ -67,7 +74,8 @@ TEST_F(SchedulerFixture, PfFavoursUnderservedUe) {
     b.UpdatePfAverage(0.0, 100.0);
   }
   auto sched = MakeScheduler(SchedulerType::kProportionalFair);
-  const auto assign = sched->AssignDownlink(ptrs_, AllAllowed());
+  SubchannelAssignment assign;
+  sched->AssignDownlink(ptrs_, AllAllowed(), assign);
   for (int owner : assign) EXPECT_EQ(owner, 1);
 }
 
@@ -81,7 +89,8 @@ TEST_F(SchedulerFixture, PfPrefersPerSubchannelQuality) {
   a.UpdateCqi(9, cq_a);
   b.UpdateCqi(9, cq_b);
   auto sched = MakeScheduler(SchedulerType::kProportionalFair);
-  const auto assign = sched->AssignDownlink(ptrs_, AllAllowed());
+  SubchannelAssignment assign;
+  sched->AssignDownlink(ptrs_, AllAllowed(), assign);
   for (int s = 0; s < 6; ++s) EXPECT_EQ(assign[static_cast<std::size_t>(s)], 0) << s;
   for (int s = 6; s < kSubchannels; ++s) EXPECT_EQ(assign[static_cast<std::size_t>(s)], 1) << s;
 }
@@ -93,7 +102,8 @@ TEST_F(SchedulerFixture, HarqRetxClaimsOriginalWidth) {
   a.harq_dl().num_subchannels = 4;
   a.harq_dl().cqi = 10;
   auto sched = MakeScheduler(SchedulerType::kProportionalFair);
-  const auto assign = sched->AssignDownlink(ptrs_, AllAllowed());
+  SubchannelAssignment assign;
+  sched->AssignDownlink(ptrs_, AllAllowed(), assign);
   int ue0 = 0;
   for (int owner : assign) {
     if (owner == 0) ++ue0;
@@ -106,7 +116,8 @@ TEST_F(SchedulerFixture, UplinkAckOnlyGetsSingleSubchannel) {
   UeContext& a = MakeUe(0, 0, 10);
   a.EnqueueUplink(66);
   auto sched = MakeScheduler(SchedulerType::kProportionalFair);
-  const auto assign = sched->AssignUplink(ptrs_, AllAllowed(), 124, 2);
+  SubchannelAssignment assign;
+  sched->AssignUplink(ptrs_, AllAllowed(), 124, 2, assign);
   int count = 0;
   for (int owner : assign) {
     if (owner == 0) ++count;
@@ -121,7 +132,8 @@ TEST_F(SchedulerFixture, UplinkPicksBestSubchannel) {
   a.UpdateCqi(6, cq);
   a.EnqueueUplink(66);
   auto sched = MakeScheduler(SchedulerType::kProportionalFair);
-  const auto assign = sched->AssignUplink(ptrs_, AllAllowed(), 124, 2);
+  SubchannelAssignment assign;
+  sched->AssignUplink(ptrs_, AllAllowed(), 124, 2, assign);
   EXPECT_EQ(assign[7], 0);
 }
 
@@ -129,7 +141,8 @@ TEST_F(SchedulerFixture, UplinkBackloggedFillsBand) {
   UeContext& a = MakeUe(0, 0, 10);
   a.EnqueueUplink(1 << 20);
   auto sched = MakeScheduler(SchedulerType::kProportionalFair);
-  const auto assign = sched->AssignUplink(ptrs_, AllAllowed(), 124, 2);
+  SubchannelAssignment assign;
+  sched->AssignUplink(ptrs_, AllAllowed(), 124, 2, assign);
   for (int owner : assign) EXPECT_EQ(owner, 0);
 }
 
@@ -140,7 +153,8 @@ TEST_F(SchedulerFixture, RoundRobinSharesAcrossUes) {
   auto sched = MakeScheduler(SchedulerType::kRoundRobin);
   std::vector<int> counts(3, 0);
   for (int round = 0; round < 3; ++round) {
-    const auto assign = sched->AssignDownlink(ptrs_, AllAllowed());
+    SubchannelAssignment assign;
+    sched->AssignDownlink(ptrs_, AllAllowed(), assign);
     for (int owner : assign) {
       ASSERT_GE(owner, 0);
       ++counts[static_cast<std::size_t>(owner)];
@@ -159,7 +173,8 @@ TEST_F(SchedulerFixture, MaxCqiGivesEverythingToBestUe) {
   (void)a;
   (void)b;
   auto sched = MakeScheduler(SchedulerType::kMaxCqi);
-  const auto assign = sched->AssignDownlink(ptrs_, AllAllowed());
+  SubchannelAssignment assign;
+  sched->AssignDownlink(ptrs_, AllAllowed(), assign);
   for (int owner : assign) EXPECT_EQ(owner, 1);  // edge UE starves
 }
 
@@ -171,7 +186,8 @@ TEST_F(SchedulerFixture, MaxCqiStillPicksPerSubchannelWinner) {
   a.UpdateCqi(8, cq_a);
   b.UpdateCqi(8, cq_b);
   auto sched = MakeScheduler(SchedulerType::kMaxCqi);
-  const auto assign = sched->AssignDownlink(ptrs_, AllAllowed());
+  SubchannelAssignment assign;
+  sched->AssignDownlink(ptrs_, AllAllowed(), assign);
   for (int s = 0; s < kSubchannels; ++s) {
     EXPECT_EQ(assign[static_cast<std::size_t>(s)], s % 2 == 0 ? 0 : 1) << s;
   }
@@ -181,7 +197,8 @@ TEST_F(SchedulerFixture, MaxCqiFallsBackWhenBestHasNoData) {
   MakeUe(0, 0, 15);        // best channel, empty queue
   MakeUe(1, 1 << 20, 5);   // worse channel, has data
   auto sched = MakeScheduler(SchedulerType::kMaxCqi);
-  const auto assign = sched->AssignDownlink(ptrs_, AllAllowed());
+  SubchannelAssignment assign;
+  sched->AssignDownlink(ptrs_, AllAllowed(), assign);
   for (int owner : assign) EXPECT_EQ(owner, 1);
 }
 
@@ -191,24 +208,82 @@ TEST_F(SchedulerFixture, RankSubchannelsDescending) {
   cq[4] = 15;
   cq[9] = 10;
   a.UpdateCqi(4, cq);
-  const auto ranked = RankSubchannelsByCqi(a, AllAllowed());
+  std::vector<int> ranked;
+  RankSubchannelsByCqi(a, AllAllowed(), ranked);
   EXPECT_EQ(ranked[0], 4);
   EXPECT_EQ(ranked[1], 9);
+}
+
+/// Test-local reference for the ranking: the std::stable_sort by
+/// descending CQI that RankSubchannelsByCqi's counting sort replaces.
+std::vector<int> StableSortRanking(const UeContext& ue, const std::vector<bool>& mask) {
+  std::vector<int> ranked;
+  for (std::size_t s = 0; s < mask.size(); ++s) {
+    if (mask[s]) ranked.push_back(static_cast<int>(s));
+  }
+  std::stable_sort(ranked.begin(), ranked.end(), [&](int a, int b) {
+    const int ca = ue.has_cqi() ? ue.SubbandCqi(a) : kMinCqi;
+    const int cb = ue.has_cqi() ? ue.SubbandCqi(b) : kMinCqi;
+    return ca > cb;
+  });
+  return ranked;
+}
+
+TEST_F(SchedulerFixture, RankingMatchesStableSortOracle) {
+  Rng rng(2024);
+  std::vector<int> ranked;  // reused across trials, like the scheduler's scratch
+  for (int trial = 0; trial < 600; ++trial) {
+    // 5 MHz and 20 MHz grids.
+    const int n = trial % 2 == 0 ? 13 : 25;
+    UeContext ue(0, n);
+    if (trial % 10 != 3) {  // every tenth UE has not reported CQI yet
+      std::vector<int> cq(static_cast<std::size_t>(n));
+      for (int& c : cq) c = static_cast<int>(rng.UniformInt(0, kMaxCqi));
+      ue.UpdateCqi(7, cq);
+    }
+    std::vector<bool> mask(static_cast<std::size_t>(n), trial % 6 == 1);
+    if (trial % 6 >= 2) {
+      for (std::size_t s = 0; s < mask.size(); ++s) mask[s] = rng.Bernoulli(0.6);
+    }
+    RankSubchannelsByCqi(ue, mask, ranked);
+    EXPECT_EQ(ranked, StableSortRanking(ue, mask)) << "trial " << trial;
+  }
+}
+
+TEST_F(SchedulerFixture, UplinkBacklogOrderMatchesStableSortOracle) {
+  Rng rng(77);
+  std::vector<std::size_t> order;
+  for (int trial = 0; trial < 300; ++trial) {
+    ues_.clear();
+    ptrs_.clear();
+    const int n = static_cast<int>(rng.UniformInt(0, 8));
+    for (int u = 0; u < n; ++u) {
+      // Four distinct backlogs among up to eight UEs: ties are common.
+      MakeUe(u, 0, 10).EnqueueUplink(static_cast<std::uint64_t>(66 * rng.UniformInt(0, 3)));
+    }
+    std::vector<std::size_t> expected(static_cast<std::size_t>(n));
+    std::iota(expected.begin(), expected.end(), 0u);
+    std::stable_sort(expected.begin(), expected.end(), [&](std::size_t a, std::size_t b) {
+      return ptrs_[a]->ul_queue_bytes() > ptrs_[b]->ul_queue_bytes();
+    });
+    OrderByUplinkBacklog(ptrs_, order);
+    EXPECT_EQ(order, expected) << "trial " << trial;
+  }
 }
 
 TEST(AggregateCqiTest, MeanEfficiencyQuantizedDown) {
   std::vector<int> cq = {15, 1, 1, 1};
   // Mean efficiency of {15,1} over subchannels {0,1} = (5.55+0.15)/2 = 2.85
   // -> CQI 10 (2.73) is the largest not exceeding it.
-  EXPECT_EQ(AggregateCqi(cq, {0, 1}), 10);
-  EXPECT_EQ(AggregateCqi(cq, {0}), 15);
-  EXPECT_EQ(AggregateCqi(cq, {1}), 1);
+  EXPECT_EQ(AggregateCqi(cq, std::vector<int>{0, 1}), 10);
+  EXPECT_EQ(AggregateCqi(cq, std::vector<int>{0}), 15);
+  EXPECT_EQ(AggregateCqi(cq, std::vector<int>{1}), 1);
   EXPECT_EQ(AggregateCqi(cq, {}), 0);
 }
 
 TEST(AggregateCqiTest, ZeroCqiSubchannelDragsDown) {
   std::vector<int> cq = {0, 0, 0, 6};
-  const int agg = AggregateCqi(cq, {0, 1, 2, 3});
+  const int agg = AggregateCqi(cq, std::vector<int>{0, 1, 2, 3});
   EXPECT_LT(agg, 6);
 }
 

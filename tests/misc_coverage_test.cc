@@ -63,7 +63,8 @@ TEST(EnodebUplinkTest, UplinkHarqRetransmitsAndDrops) {
   ue.UpdateCqi(10, std::vector<int>(13, 10));
   Rng rng(1);
   for (int attempt = 1; attempt <= 4; ++attempt) {
-    const lte::TxPlan plan = enb.PlanUplink();
+    lte::TxPlan plan;
+    enb.PlanUplink(plan);
     ASSERT_FALSE(plan.transmissions.empty()) << attempt;
     EXPECT_EQ(plan.transmissions[0].is_harq_retx, attempt > 1);
     const auto result = enb.CompleteUplink(plan.transmissions[0], -30.0, rng);
@@ -80,10 +81,11 @@ TEST(EnodebUplinkTest, UplinkSucceedsAfterOneRetx) {
   ue.EnqueueUplink(500);
   ue.UpdateCqi(10, std::vector<int>(13, 10));
   Rng rng(2);
-  auto plan = enb.PlanUplink();
+  lte::TxPlan plan;
+  enb.PlanUplink(plan);
   enb.CompleteUplink(plan.transmissions[0], -30.0, rng);  // fail
   ASSERT_TRUE(ue.harq_ul().active);
-  plan = enb.PlanUplink();
+  enb.PlanUplink(plan);
   const auto result = enb.CompleteUplink(plan.transmissions[0], 40.0, rng);  // combine
   EXPECT_TRUE(result.delivered);
   EXPECT_EQ(result.attempts, 2);

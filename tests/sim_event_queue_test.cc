@@ -26,6 +26,25 @@ TEST(SimulatorTest, SameTimestampFifo) {
   }
   sim.Run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+
+  // A periodic occurrence takes its place in the same-time order when the
+  // previous one's callback returns: after an event its callback scheduled
+  // for the same instant, before one scheduled later.
+  Simulator periodic_sim;
+  std::vector<int> periodic_order;
+  periodic_sim.ScheduleAt(10, [&] { periodic_order.push_back(1); });
+  const EventId chain = periodic_sim.SchedulePeriodic(5, [&] {
+    periodic_order.push_back(periodic_sim.Now() == 5 ? 0 : 3);
+    if (periodic_sim.Now() == 5) {
+      periodic_sim.ScheduleAt(10, [&] { periodic_order.push_back(2); });
+    }
+  });
+  periodic_sim.ScheduleAt(5, [&] {
+    periodic_sim.ScheduleAt(10, [&] { periodic_order.push_back(4); });
+  });
+  periodic_sim.RunUntil(10);
+  periodic_sim.Cancel(chain);
+  EXPECT_EQ(periodic_order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(SimulatorTest, ScheduleAfterUsesCurrentTime) {
@@ -80,23 +99,45 @@ TEST(SimulatorTest, PeriodicFiresRepeatedly) {
 }
 
 TEST(SimulatorTest, PeriodicCancelStopsChain) {
-  Simulator sim;
-  int count = 0;
-  EventId id = sim.SchedulePeriodic(10, [&] { ++count; });
-  sim.ScheduleAt(35, [&, id] { sim.Cancel(id); });
-  sim.RunUntil(200);
-  EXPECT_EQ(count, 3);
+  // {cancel time, fires, executed events}. Cancelled before its first
+  // occurrence the chain never runs or counts; cancelled later, its
+  // already-pending occurrence still pops and counts as executed (it runs
+  // nothing), next to the three firings and the cancelling event.
+  struct Case {
+    SimTime cancel_at;
+    int fires;
+    std::uint64_t executed;
+  };
+  for (const Case& c : {Case{5, 0, 1}, Case{35, 3, 5}}) {
+    Simulator sim;
+    int count = 0;
+    EventId id = sim.SchedulePeriodic(10, [&] { ++count; });
+    sim.ScheduleAt(c.cancel_at, [&, id] { sim.Cancel(id); });
+    sim.RunUntil(200);
+    EXPECT_EQ(count, c.fires) << c.cancel_at;
+    EXPECT_EQ(sim.executed_events(), c.executed) << c.cancel_at;
+    EXPECT_FALSE(sim.HasPending()) << c.cancel_at;
+  }
 }
 
 TEST(SimulatorTest, PeriodicCanCancelItself) {
-  Simulator sim;
-  int count = 0;
-  EventId id;
-  id = sim.SchedulePeriodic(10, [&] {
-    if (++count == 4) sim.Cancel(id);
-  });
-  sim.RunUntil(1000);
-  EXPECT_EQ(count, 4);
+  // Cancelling from inside the callback stops the chain on the spot,
+  // including on its very first occurrence; a second chain due at the
+  // same instants keeps running.
+  for (int stop_at : {1, 4}) {
+    Simulator sim;
+    int count = 0;
+    int other = 0;
+    EventId id;
+    id = sim.SchedulePeriodic(10, [&] {
+      if (++count == stop_at) sim.Cancel(id);
+    });
+    sim.SchedulePeriodic(10, [&] { ++other; });
+    sim.RunUntil(1000);
+    EXPECT_EQ(count, stop_at);
+    EXPECT_EQ(other, 100);
+    EXPECT_EQ(sim.executed_events(), static_cast<std::uint64_t>(stop_at + 100));
+  }
 }
 
 TEST(SimulatorTest, EventsScheduledFromEventsRun) {
