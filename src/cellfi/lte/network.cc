@@ -139,7 +139,7 @@ void LteNetwork::CheckHandovers() {
     // Detection floor: a neighbour whose cached mean rx power sits 6 dB or
     // more below the serving+hysteresis bar cannot win the dB comparison
     // (the 6 dB guard dwarfs any mW/dBm rounding), so it is skipped
-    // straight off the receiver-major mW cache row. A UE with no active
+    // straight off the receiver's cached mW link row. A UE with no active
     // neighbour above the floor does no dBm conversion at all.
     const double detect_floor_mw = DbmToMw(best_rsrp) * 0.25;
     for (CellId c : handover_cells_scratch_) {
@@ -496,7 +496,7 @@ void LteNetwork::ResetPlans() {
 template <typename LinkOf>
 void LteNetwork::StageTransmissions(const LinkOf& link_of) {
   // Receiver ownership keeps this race-free. Every mutable cache row
-  // (engine receiver rows, rx-power rows, noise memo, CRS penalty cache) is
+  // (engine receiver rows, link rows, noise memo, CRS penalty cache) is
   // indexed by receiver, and a receiver — a UE in downlink, the cell's own
   // radio in uplink — is only ever queried by the shard owning its cell.
   ForEachShard([this, &link_of](int s) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "cellfi/common/simd.h"
@@ -20,12 +19,7 @@ RadioEnvironment::RadioEnvironment(const PathLossModel& pathloss,
 
 RadioNodeId RadioEnvironment::AddNode(RadioNode node) {
   nodes_.push_back(node);
-  gain_cache_.assign(nodes_.size() * nodes_.size(),
-                     std::numeric_limits<double>::quiet_NaN());
-  rx_mw_cache_.assign(nodes_.size() * nodes_.size(),
-                      std::numeric_limits<double>::quiet_NaN());
-  noise_mw_cache_.emplace_back();
-  fading_memo_.emplace_back();
+  rx_.emplace_back();
   ++position_epoch_;
   return static_cast<RadioNodeId>(nodes_.size() - 1);
 }
@@ -33,58 +27,52 @@ RadioNodeId RadioEnvironment::AddNode(RadioNode node) {
 void RadioEnvironment::MoveNode(RadioNodeId id, Point new_position) {
   assert(id < nodes_.size());
   nodes_[id].position = new_position;
-  const std::size_t n = nodes_.size();
-  for (std::size_t other = 0; other < n; ++other) {
-    gain_cache_[id * n + other] = std::numeric_limits<double>::quiet_NaN();
-    gain_cache_[other * n + id] = std::numeric_limits<double>::quiet_NaN();
-    rx_mw_cache_[id * n + other] = std::numeric_limits<double>::quiet_NaN();
-    rx_mw_cache_[other * n + id] = std::numeric_limits<double>::quiet_NaN();
+  rx_[id].links.clear();
+  for (Receiver& r : rx_) {
+    if (id < r.links.size()) r.links[id] = Link{};
   }
   ++position_epoch_;
+}
+
+RadioEnvironment::Link* RadioEnvironment::LinkRow(RadioNodeId rx) const {
+  std::vector<Link>& links = rx_[rx].links;
+  if (links.size() < nodes_.size()) links.resize(nodes_.size());
+  return links.data();
 }
 
 double RadioEnvironment::LinkGainDb(RadioNodeId tx, RadioNodeId rx) const {
   assert(tx < nodes_.size() && rx < nodes_.size());
   assert(tx != rx);
-  double& cached = gain_cache_[tx * nodes_.size() + rx];
+  double& cached = LinkRow(rx)[tx].gain_db;
   if (!std::isnan(cached)) return cached;
 
   const RadioNode& t = nodes_[tx];
   const RadioNode& r = nodes_[rx];
   const double dist = Distance(t.position, r.position);
   const double loss = pathloss_.LossDb(dist, config_.carrier_freq_hz);
-  const double gain = t.antenna.GainTowards(t.position, r.position) +
-                      r.antenna.GainTowards(r.position, t.position) - loss +
-                      shadowing_.ShadowDb(tx, rx);
-  cached = gain;
-  gain_cache_[rx * nodes_.size() + tx] = gain;  // reciprocal channel
-  return gain;
+  cached = t.antenna.GainTowards(t.position, r.position) +
+           r.antenna.GainTowards(r.position, t.position) - loss +
+           shadowing_.ShadowDb(tx, rx);
+  return cached;
 }
 
 double RadioEnvironment::MeanRxPowerDbm(RadioNodeId tx, RadioNodeId rx) const {
   return nodes_[tx].tx_power_dbm + LinkGainDb(tx, rx);
 }
 
-double RadioEnvironment::MeanRxPowerMw(RadioNodeId tx, RadioNodeId rx) const {
-  // Receiver-major: all powers arriving at `rx` share one contiguous row.
-  double& cached = rx_mw_cache_[rx * nodes_.size() + tx];
+double RadioEnvironment::MeanMw(Link* row, RadioNodeId tx, RadioNodeId rx) const {
+  double& cached = row[tx].mean_mw;
   if (std::isnan(cached)) cached = DbmToMw(MeanRxPowerDbm(tx, rx));
   return cached;
 }
 
-double RadioEnvironment::RxPowerDbm(RadioNodeId tx, RadioNodeId rx,
-                                    std::uint32_t subchannel, SimTime now) const {
-  double p = MeanRxPowerDbm(tx, rx);
-  if (config_.enable_fading) {
-    p += FadingProcess::PowerGainToDb(
-        FadingGain(FadingMemoAt(rx, now), tx, rx, subchannel, now));
-  }
-  return p;
+double RadioEnvironment::MeanRxPowerMw(RadioNodeId tx, RadioNodeId rx) const {
+  return MeanMw(LinkRow(rx), tx, rx);
 }
 
 RadioEnvironment::FadingMemo& RadioEnvironment::FadingMemoAt(RadioNodeId rx,
                                                              SimTime now) const {
-  FadingMemo& memo = fading_memo_[rx];
+  FadingMemo& memo = rx_[rx].fading;
   const std::uint64_t block = fading_.BlockIndex(now);
   if (memo.block != block) {
     memo.block = block;
@@ -133,7 +121,7 @@ double RadioEnvironment::NoiseDbm(RadioNodeId rx, double bandwidth_hz) const {
 }
 
 double RadioEnvironment::NoiseMw(RadioNodeId rx, double bandwidth_hz) const {
-  NoiseMemo& memo = noise_mw_cache_[rx];
+  NoiseMemo& memo = rx_[rx].noise;
   if (memo.bandwidth_hz[0] == bandwidth_hz) return memo.noise_mw[0];
   if (memo.bandwidth_hz[1] == bandwidth_hz) {
     // Promote to MRU so an alternating pair of bandwidths always hits.
@@ -152,15 +140,12 @@ double RadioEnvironment::SinrDb(RadioNodeId tx, RadioNodeId rx, std::uint32_t su
                                 SimTime now,
                                 const std::vector<ActiveTransmitter>& interferers,
                                 double bandwidth_hz, double signal_scale) const {
-  // Fully linear hot path: the receiver's contiguous mean-power row, the
-  // memoized noise floor and its coherence-block fading memo leave one
+  // Fully linear hot path: the receiver's link row, the memoized noise
+  // floor and its coherence-block fading memo leave one row lookup and one
   // table probe per term.
-  const std::size_t n = nodes_.size();
-  double* row = &rx_mw_cache_[rx * n];
+  Link* row = LinkRow(rx);
   FadingMemo* memo = config_.enable_fading ? &FadingMemoAt(rx, now) : nullptr;
-  double signal_mw = row[tx];
-  if (std::isnan(signal_mw)) signal_mw = row[tx] = DbmToMw(MeanRxPowerDbm(tx, rx));
-  signal_mw *= signal_scale;
+  double signal_mw = MeanMw(row, tx, rx) * signal_scale;
   if (memo != nullptr) signal_mw *= FadingGain(*memo, tx, rx, subchannel, now);
   // Blocked accumulation (DESIGN.md §17): contributing term i goes to lane
   // i mod 8, lanes combine with the fixed ReduceLanes8 tree. Skipped
@@ -171,9 +156,7 @@ double RadioEnvironment::SinrDb(RadioNodeId tx, RadioNodeId rx, std::uint32_t su
   std::size_t m = 0;
   for (const ActiveTransmitter& it : interferers) {
     if (it.node == tx || it.node == rx || it.power_scale <= 0.0) continue;
-    double p = row[it.node];
-    if (std::isnan(p)) p = row[it.node] = DbmToMw(MeanRxPowerDbm(it.node, rx));
-    p *= it.power_scale;
+    double p = MeanMw(row, it.node, rx) * it.power_scale;
     if (memo != nullptr) p *= FadingGain(*memo, it.node, rx, subchannel, now);
     lanes[m & 7] += p;
     ++m;

@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
+#include <limits>
 #include <vector>
 
 #include "cellfi/common/geometry.h"
@@ -63,7 +63,8 @@ class RadioEnvironment {
   /// `pathloss` must outlive the environment.
   RadioEnvironment(const PathLossModel& pathloss, RadioEnvironmentConfig config);
 
-  /// Register a node; returns its id.
+  /// Register a node; returns its id. O(1) amortised: the node gets an
+  /// empty receiver record, and no other receiver's state is touched.
   RadioNodeId AddNode(RadioNode node);
 
   /// Move a node (mobility). Invalidates the cached link gains involving
@@ -75,20 +76,15 @@ class RadioEnvironment {
   const RadioNode& node(RadioNodeId id) const { return nodes_[id]; }
 
   /// Large-scale link gain (antenna gains - path loss - shadowing), dB.
-  /// Symmetric. Cached after first computation.
+  /// Symmetric, bit for bit: every term is symmetric or commutes. Cached in
+  /// `rx`'s link row after first computation.
   double LinkGainDb(RadioNodeId tx, RadioNodeId rx) const;
-
-  /// Received power from `tx` at `rx` on `subchannel` at time `now`,
-  /// including fading, dBm. Reads the fading gain through `rx`'s
-  /// coherence-block memo (see SinrDb), so it writes `rx`'s state.
-  double RxPowerDbm(RadioNodeId tx, RadioNodeId rx, std::uint32_t subchannel,
-                    SimTime now) const;
 
   /// Average received power (no fading), dBm.
   double MeanRxPowerDbm(RadioNodeId tx, RadioNodeId rx) const;
 
-  /// Average received power (no fading), mW — cached; the hot path for
-  /// SINR aggregation works entirely in linear units.
+  /// Average received power (no fading), mW — cached in `rx`'s link row;
+  /// the hot path for SINR aggregation works entirely in linear units.
   double MeanRxPowerMw(RadioNodeId tx, RadioNodeId rx) const;
 
   /// Thermal noise power at `rx` over `bandwidth_hz`, dBm.
@@ -114,9 +110,10 @@ class RadioEnvironment {
   /// InterferenceMap (DESIGN.md §12) is interning + an exact memo over
   /// this one computation.
   ///
-  /// Fills `rx`'s lazily cached state: its mean rx-power row, noise memo
-  /// and fading memo. Concurrent calls are safe only for distinct
-  /// receivers (receiver ownership, DESIGN.md §15).
+  /// Fills `rx`'s lazily cached state: its link row, noise memo and fading
+  /// memo. Every query, this one included, writes only its receiver's
+  /// record, so concurrent calls are safe for distinct receivers (receiver
+  /// ownership, DESIGN.md §15).
   double SinrDb(RadioNodeId tx, RadioNodeId rx, std::uint32_t subchannel, SimTime now,
                 const std::vector<ActiveTransmitter>& interferers,
                 double bandwidth_hz, double signal_scale = 1.0) const;
@@ -133,19 +130,18 @@ class RadioEnvironment {
   ShadowingField shadowing_;
   FadingProcess fading_;
   std::vector<RadioNode> nodes_;
-  mutable std::vector<double> gain_cache_;  // n*n link gain dB, NaN = unset
-  /// n*n mean rx power mW, NaN = unset. Receiver-major: row rx*n holds the
-  /// power received at `rx` from every transmitter contiguously, so one
-  /// SINR aggregation walks a single cache line run instead of striding.
-  mutable std::vector<double> rx_mw_cache_;
-  /// Per-receiver two-slot (bandwidth_hz, noise_mw) memo for NoiseMw,
-  /// most-recently-used first. One slot thrashes when callers alternate
-  /// between subchannel and full-band noise at the same receiver.
+  /// One link's cached LinkGainDb and MeanRxPowerMw, NaN = unset.
+  struct Link {
+    double gain_db = std::numeric_limits<double>::quiet_NaN();
+    double mean_mw = std::numeric_limits<double>::quiet_NaN();
+  };
+  /// Two-slot (bandwidth_hz, noise_mw) memo for NoiseMw, most-recently-used
+  /// first. One slot thrashes when callers alternate between subchannel and
+  /// full-band noise at the same receiver.
   struct NoiseMemo {
     double bandwidth_hz[2] = {0.0, 0.0};
     double noise_mw[2] = {0.0, 0.0};
   };
-  mutable std::vector<NoiseMemo> noise_mw_cache_;
   /// Fading power gains one receiver has read in one coherence block,
   /// keyed by (tx << 32 | subchannel): an open-addressed table with
   /// linear probing, power-of-two capacity grown at 3/4 load, emptied when
@@ -167,7 +163,19 @@ class RadioEnvironment {
     /// Double the table (16 slots first), re-inserting every entry.
     void Grow();
   };
-  mutable std::vector<FadingMemo> fading_memo_;  // one per receiver
+  /// Everything cached for one receiver; only queries at that receiver
+  /// touch it. `links` is indexed by transmitter and sized on the first
+  /// query, so a receiver nobody asks about never gets a row.
+  struct Receiver {
+    std::vector<Link> links;
+    NoiseMemo noise;
+    FadingMemo fading;
+  };
+  mutable std::vector<Receiver> rx_;  // one per node
+  /// `rx`'s link row, extended to node_count() first.
+  Link* LinkRow(RadioNodeId rx) const;
+  /// MeanRxPowerMw through `row`, which must be LinkRow(rx).
+  double MeanMw(Link* row, RadioNodeId tx, RadioNodeId rx) const;
   /// `rx`'s fading memo, emptied first if `now` is in a new block.
   FadingMemo& FadingMemoAt(RadioNodeId rx, SimTime now) const;
   /// fading_.PowerGain(tx, rx, subchannel, now) through `memo`, which must

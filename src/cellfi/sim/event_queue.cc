@@ -14,8 +14,8 @@ EventId Simulator::ScheduleAt(SimTime when, Callback cb) {
 EventId Simulator::SchedulePeriodic(SimTime period, Callback cb) {
   assert(period > 0);
   const std::uint64_t seq = next_seq_++;
-  const std::size_t chain = chain_alive_.size();
-  chain_alive_.push_back(true);
+  const std::size_t chain = chains_.size();
+  chains_.emplace_back();
   chain_of_first_.emplace(seq, chain);
   queue_.push(Event{now_ + period, seq, period, chain, std::move(cb)});
   return EventId(seq);
@@ -25,8 +25,10 @@ void Simulator::Cancel(EventId id) {
   if (!id.valid()) return;
   auto it = chain_of_first_.find(id.seq_);
   if (it != chain_of_first_.end()) {
-    chain_alive_[it->second] = false;
-    chain_of_first_.erase(it);
+    Chain& chain = chains_[it->second];
+    chain.alive = false;
+    // Past its first occurrence the dead flag alone stops the chain.
+    if (!chain.first_queued) return;
   }
   cancelled_.insert(id.seq_);
 }
@@ -37,6 +39,7 @@ void Simulator::ExecuteNext() {
   Event ev = std::move(const_cast<Event&>(queue_.top()));
   queue_.pop();
   now_ = ev.when;
+  if (ev.period > 0) chains_[ev.chain].first_queued = false;
   auto it = cancelled_.find(ev.seq);
   if (it != cancelled_.end()) {
     cancelled_.erase(it);
@@ -45,9 +48,9 @@ void Simulator::ExecuteNext() {
   // A cancelled chain's pending later occurrence still pops and counts as
   // executed; it just runs nothing.
   ++executed_;
-  if (ev.period > 0 && !chain_alive_[ev.chain]) return;
+  if (ev.period > 0 && !chains_[ev.chain].alive) return;
   ev.cb();
-  if (ev.period > 0 && chain_alive_[ev.chain]) {
+  if (ev.period > 0 && chains_[ev.chain].alive) {
     queue_.push(Event{now_ + ev.period, next_seq_++, ev.period, ev.chain, std::move(ev.cb)});
   }
 }

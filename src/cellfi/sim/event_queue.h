@@ -54,6 +54,8 @@ class Simulator {
   EventId SchedulePeriodic(SimTime period, Callback cb);
 
   /// Cancel a pending event. Safe to call for already-fired events (no-op).
+  /// Cancelling a periodic chain whose first occurrence has already fired
+  /// only stops the chain; nothing is left recorded for the fired id.
   void Cancel(EventId id);
 
   /// Run until the event queue drains or `until` is reached (whichever is
@@ -69,12 +71,16 @@ class Simulator {
   /// True if any event is pending.
   bool HasPending() const;
 
+  /// Ids Cancel has recorded and the queue has not popped yet (for tests /
+  /// diagnostics). A one-shot id cancelled after it fired stays counted.
+  std::size_t pending_cancellations() const { return cancelled_.size(); }
+
  private:
   struct Event {
     SimTime when;
     std::uint64_t seq;
     SimTime period;     // re-arm interval; 0 = one-shot
-    std::size_t chain;  // periodic only: index into chain_alive_
+    std::size_t chain;  // periodic only: index into chains_
     Callback cb;
   };
   struct Later {
@@ -90,10 +96,15 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::unordered_set<std::uint64_t> cancelled_;
+  struct Chain {
+    bool alive = true;
+    bool first_queued = true;  // the first occurrence has not popped yet
+  };
   /// Periodic chains: the first occurrence's seq (the id Cancel receives)
-  /// -> the chain's alive flag. Cancel erases the entry and clears the flag.
+  /// -> the chain's index in chains_, kept for the simulator's life so a
+  /// repeated Cancel still finds the chain. Cancel clears `alive`.
   std::unordered_map<std::uint64_t, std::size_t> chain_of_first_;
-  std::vector<bool> chain_alive_;
+  std::vector<Chain> chains_;
 };
 
 }  // namespace cellfi

@@ -2,7 +2,8 @@
 // heap allocation. Plans, scheduler output, ranking scratch and per-UE
 // delivery statistics are all reused in place, and periodic events re-arm
 // without allocating, so once a network has warmed up, running it touches
-// the heap zero times.
+// the heap zero times. Registering radio nodes allocates O(n) bytes in
+// total: link rows are sized on a receiver's first query, not per AddNode.
 //
 // This binary replaces the global operator new/delete with a counting pair,
 // which is why it is its own executable. Sanitizer builds own operator new
@@ -31,6 +32,7 @@
 namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 }  // namespace
 
 #ifndef CELLFI_ALLOC_GATE_SANITIZED
@@ -43,6 +45,7 @@ namespace {
 void* operator new(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
@@ -51,6 +54,7 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 void* operator new(std::size_t size, std::align_val_t align) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   const std::size_t a = static_cast<std::size_t>(align);
   if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
@@ -170,6 +174,35 @@ INSTANTIATE_TEST_SUITE_P(
                       GateCase{"ProportionalFairBackground", SchedulerType::kProportionalFair,
                                0.3}),
     GateName);
+
+TEST(RadioRegistrationTest, AllocatesLinearBytes) {
+#ifdef CELLFI_ALLOC_GATE_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes replace operator new; the counting "
+                  "replacement is compiled out";
+#else
+  constexpr int kNodes = 512;
+  HataUrbanPathLoss pathloss(15.0, 1.5);
+  RadioEnvironment env(pathloss, RadioEnvironmentConfig{});
+  g_allocations.store(0);
+  g_bytes.store(0);
+  g_counting.store(true);
+  for (int i = 0; i < kNodes; ++i) {
+    env.AddNode({.position = {25.0 * (i % 32), 25.0 * (i / 32)}, .tx_power_dbm = 20.0});
+  }
+  g_counting.store(false);
+  EXPECT_EQ(env.node_count(), static_cast<std::size_t>(kNodes));
+  EXPECT_LT(g_bytes.load(), 1024u * kNodes)
+      << "bytes allocated registering " << kNodes << " nodes (" << g_allocations.load()
+      << " allocations)";
+  // The first query sizes one receiver's row, and only that row.
+  g_bytes.store(0);
+  g_counting.store(true);
+  const double gain = env.LinkGainDb(1, 0);
+  g_counting.store(false);
+  EXPECT_TRUE(std::isfinite(gain));
+  EXPECT_LT(g_bytes.load(), 64u * kNodes) << "bytes allocated by the first query";
+#endif
+}
 
 }  // namespace
 }  // namespace cellfi::lte

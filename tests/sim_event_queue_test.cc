@@ -102,7 +102,8 @@ TEST(SimulatorTest, PeriodicCancelStopsChain) {
   // {cancel time, fires, executed events}. Cancelled before its first
   // occurrence the chain never runs or counts; cancelled later, its
   // already-pending occurrence still pops and counts as executed (it runs
-  // nothing), next to the three firings and the cancelling event.
+  // nothing), next to the three firings and the cancelling event. Either
+  // way no cancellation stays recorded, also after a repeated Cancel.
   struct Case {
     SimTime cancel_at;
     int fires;
@@ -112,11 +113,17 @@ TEST(SimulatorTest, PeriodicCancelStopsChain) {
     Simulator sim;
     int count = 0;
     EventId id = sim.SchedulePeriodic(10, [&] { ++count; });
-    sim.ScheduleAt(c.cancel_at, [&, id] { sim.Cancel(id); });
+    sim.ScheduleAt(c.cancel_at, [&, id] {
+      sim.Cancel(id);
+      sim.Cancel(id);
+    });
     sim.RunUntil(200);
     EXPECT_EQ(count, c.fires) << c.cancel_at;
     EXPECT_EQ(sim.executed_events(), c.executed) << c.cancel_at;
     EXPECT_FALSE(sim.HasPending()) << c.cancel_at;
+    EXPECT_EQ(sim.pending_cancellations(), 0u) << c.cancel_at;
+    sim.Cancel(id);  // long after the chain stopped
+    EXPECT_EQ(sim.pending_cancellations(), 0u) << c.cancel_at;
   }
 }
 
@@ -137,6 +144,7 @@ TEST(SimulatorTest, PeriodicCanCancelItself) {
     EXPECT_EQ(count, stop_at);
     EXPECT_EQ(other, 100);
     EXPECT_EQ(sim.executed_events(), static_cast<std::uint64_t>(stop_at + 100));
+    EXPECT_EQ(sim.pending_cancellations(), 0u);
   }
 }
 

@@ -69,9 +69,12 @@
 #            with each binary, and fail if any `outcome` string differs.
 #            Those workloads run with fading on, so it also builds
 #            examples/run_scenario for both and `cmp`s their JSON reports
-#            on two fading-off configs written from --print-config (plain
-#            LTE backlogged with 16 APs, and CellFi web). A few minutes:
-#            four library builds, eight replications and four scenarios.
+#            on four fading-off configs written from --print-config (plain
+#            LTE backlogged with 16 APs, CellFi web, and 802.11af and the
+#            oracle backlogged, whose carrier sense, association and
+#            conflict graph read link gains no perfbench workload runs).
+#            A few minutes: four library builds, eight replications and
+#            eight scenarios.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -170,12 +173,14 @@ configs = {
     "lte_backlogged_16ap": {"tech": "lte", "workload": "backlogged",
                             "topology": dict(base["topology"], num_aps=16)},
     "cellfi_web": {"tech": "cellfi", "workload": "web"},
+    "80211af_backlogged": {"tech": "80211af", "workload": "backlogged"},
+    "oracle_backlogged": {"tech": "oracle", "workload": "backlogged"},
 }
 for name, edits in configs.items():
     with open(os.path.join(out, name + ".json"), "w") as f:
         json.dump(dict(base, **edits), f)
 PY
-  for config in lte_backlogged_16ap cellfi_web; do
+  for config in lte_backlogged_16ap cellfi_web 80211af_backlogged oracle_backlogged; do
     "$ref_dir/build-scenario/examples/run_scenario" "$ref_dir/$config.json" \
       > "$ref_dir/$config.ref.out"
     "$tree_scenario_build/examples/run_scenario" "$ref_dir/$config.json" \
