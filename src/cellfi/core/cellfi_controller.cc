@@ -62,12 +62,13 @@ void CellfiController::Start() {
   }
 }
 
-EpochInputs CellfiController::BuildInputs(CellId cell) {
-  EpochInputs in;
+void CellfiController::BuildInputs(CellId cell) {
+  EpochInputs& in = inputs_;
   const SimTime now = sim_.Now();
   const PrachSensor& sensor = sensors_[static_cast<std::size_t>(cell)];
   in.own_active_clients = sensor.OwnActive(now);
   in.estimated_contenders = sensor.EstimateContenders(now);
+  // assign() keeps the capacity, so only a controller's first epoch allocates.
   in.utility.assign(static_cast<std::size_t>(num_subchannels_), 0.0);
   in.interference_pressure.assign(static_cast<std::size_t>(num_subchannels_), 0.0);
   in.free_for_reuse.assign(static_cast<std::size_t>(num_subchannels_), false);
@@ -77,7 +78,7 @@ EpochInputs CellfiController::BuildInputs(CellId cell) {
   const double dl_subframes = std::max(stats.dl_subframes, 1);
   auto& per_cell_detectors = detectors_[static_cast<std::size_t>(cell)];
 
-  std::vector<bool> any_detection(static_cast<std::size_t>(num_subchannels_), false);
+  any_detection_.assign(static_cast<std::size_t>(num_subchannels_), false);
 
   for (const auto& ue_ptr : enb.ues()) {
     const UeId ue = ue_ptr->id();
@@ -102,7 +103,7 @@ EpochInputs CellfiController::BuildInputs(CellId cell) {
       // (Section 5.3: the decrement is frac_j, their scheduled-time share).
       const bool truly_detected =
           det_it != per_cell_detectors.end() && det_it->second.Detected(s);
-      if (truly_detected) any_detection[static_cast<std::size_t>(s)] = true;
+      if (truly_detected) any_detection_[static_cast<std::size_t>(s)] = true;
       double frac_j = 0.0;
       if (sched_it != stats.ue_subchannel_subframes.end()) {
         frac_j = static_cast<double>(sched_it->second[static_cast<std::size_t>(s)]) /
@@ -120,7 +121,7 @@ EpochInputs CellfiController::BuildInputs(CellId cell) {
   // free for `reuse_free_epochs` contiguous epochs by every client.
   auto& streaks = free_streak_[static_cast<std::size_t>(cell)];
   for (int s = 0; s < num_subchannels_; ++s) {
-    if (any_detection[static_cast<std::size_t>(s)]) {
+    if (any_detection_[static_cast<std::size_t>(s)]) {
       streaks[static_cast<std::size_t>(s)] = 0;
     } else {
       ++streaks[static_cast<std::size_t>(s)];
@@ -134,27 +135,27 @@ EpochInputs CellfiController::BuildInputs(CellId cell) {
     // the cell's clients: a sum above one means the epoch scheduled
     // overlapping grants. Accumulate in UE-list order (deterministic), not
     // map order.
-    std::vector<double> share(static_cast<std::size_t>(num_subchannels_), 0.0);
+    share_.assign(static_cast<std::size_t>(num_subchannels_), 0.0);
     for (const auto& ue_ptr : enb.ues()) {
       const auto it = stats.ue_subchannel_subframes.find(ue_ptr->id());
       if (it == stats.ue_subchannel_subframes.end()) continue;
       for (int s = 0; s < num_subchannels_; ++s) {
-        share[static_cast<std::size_t>(s)] +=
+        share_[static_cast<std::size_t>(s)] +=
             static_cast<double>(it->second[static_cast<std::size_t>(s)]) / dl_subframes;
       }
     }
     for (int s = 0; s < num_subchannels_; ++s) {
-      ic->CheckShareSum(static_cast<int>(cell), s, share[static_cast<std::size_t>(s)],
+      ic->CheckShareSum(static_cast<int>(cell), s, share_[static_cast<std::size_t>(s)],
                         now);
     }
   }
 
   enb.ResetScheduleStats();
-  return in;
 }
 
 void CellfiController::RunEpoch(CellId cell) {
-  const EpochInputs in = BuildInputs(cell);
+  BuildInputs(cell);
+  const EpochInputs& in = inputs_;
   if (obs::TraceSink* tr = obs::ActiveTrace()) {
     tr->Emit(sim_.Now(), "prach", "contention",
              {{"cell", cell},
@@ -162,15 +163,15 @@ void CellfiController::RunEpoch(CellId cell) {
               {"contenders", in.estimated_contenders}});
   }
   InterferenceManager& im = *managers_[static_cast<std::size_t>(cell)];
-  std::vector<bool> mask = im.OnEpoch(in);
+  mask_ = im.OnEpoch(in);
   last_epoch_hops_[static_cast<std::size_t>(cell)] = im.last_stats().hops;
   if (im.owned_count() == 0) {
     // An AP with no sensed clients yet keeps the full mask so that newly
     // attaching clients can be served; shares kick in once PRACH estimates
     // exist.
-    mask.assign(static_cast<std::size_t>(num_subchannels_), true);
+    mask_.assign(static_cast<std::size_t>(num_subchannels_), true);
   }
-  net_.SetAllowedMask(cell, std::move(mask));
+  net_.SetAllowedMask(cell, mask_);
 }
 
 std::uint64_t CellfiController::total_hops() const {

@@ -65,7 +65,8 @@ class CellfiController {
 
  private:
   void RunEpoch(lte::CellId cell);
-  EpochInputs BuildInputs(lte::CellId cell);
+  /// Fill `inputs_` for `cell` in place (no allocation once warmed up).
+  void BuildInputs(lte::CellId cell);
 
   Simulator& sim_;
   lte::LteNetwork& net_;
@@ -79,6 +80,11 @@ class CellfiController {
   std::vector<std::vector<int>> free_streak_;
   std::vector<int> last_epoch_hops_;
   int num_subchannels_ = 0;
+  // Per-epoch scratch, reused across cells and epochs.
+  EpochInputs inputs_;
+  std::vector<bool> any_detection_;
+  std::vector<double> share_;
+  std::vector<bool> mask_;
 };
 
 }  // namespace cellfi::core

@@ -12,7 +12,8 @@ ChannelSelector::ChannelSelector(Simulator& sim, tvws::PawsSession& session,
                                  const NetworkListenScanner& scanner,
                                  ChannelSelectorConfig config)
     : sim_(sim), session_(session), scanner_(scanner), config_(config),
-      init_retry_timer_(sim), deadline_timer_(sim), vacate_timer_(sim) {
+      transition_timer_(sim), init_retry_timer_(sim), deadline_timer_(sim),
+      vacate_timer_(sim) {
   assert(config_.db_poll_interval + config_.vacate_delay <= config_.etsi_vacate_budget);
 }
 
@@ -191,8 +192,7 @@ void ChannelSelector::RadioOff(const std::string& reason) {
   aggregated_.clear();
   deadline_timer_.Cancel();
   vacate_timer_.Cancel();
-  sim_.Cancel(pending_transition_);
-  pending_transition_ = EventId{};
+  transition_timer_.Cancel();
   if (on_channel_lost) on_channel_lost();
 }
 
@@ -218,24 +218,22 @@ void ChannelSelector::Crash() {
   init_retry_timer_.Cancel();
   sim_.Cancel(poll_event_);
   poll_event_ = EventId{};
-  sim_.Cancel(pending_transition_);
-  pending_transition_ = EventId{};
+  transition_timer_.Cancel();
   if (was_on && on_channel_lost) on_channel_lost();
   // Process restart: the lease table is gone, so the new incarnation goes
   // through the full INIT handshake again. Every AP of a fleet crashing at
   // once turns this into a re-registration storm against the database.
-  pending_transition_ =
-      sim_.ScheduleAfter(config_.reboot_duration, [this, gen = generation_] {
-        if (gen != generation_) return;  // crashed again while down
-        Record("ap_restarted", -1);
-        TryInit();
-      });
+  transition_timer_.Arm(config_.reboot_duration, [this, gen = generation_] {
+    if (gen != generation_) return;  // crashed again while down
+    Record("ap_restarted", -1);
+    TryInit();
+  });
 }
 
 void ChannelSelector::BeginReboot(const ChannelAvailability& target) {
   state_ = ApRadioState::kRebooting;
   Record("ap_rebooting", target.channel.number);
-  pending_transition_ = sim_.ScheduleAfter(config_.reboot_duration, [this, target] {
+  transition_timer_.Arm(config_.reboot_duration, [this, target] {
     // Never go on air on stale data: the authorization that started this
     // reboot is reboot_duration old (> ETSI budget). Re-validate with a
     // fresh exchange; the database may be down or the lease gone.
@@ -290,7 +288,7 @@ void ChannelSelector::CompleteReboot(const ChannelAvailability& target,
     session_.NotifyUse(config_.location, used);
   }
   if (on_channel_acquired) on_channel_acquired(*fresh);
-  pending_transition_ = sim_.ScheduleAfter(config_.client_reacquire, [this] {
+  transition_timer_.Arm(config_.client_reacquire, [this] {
     if (state_ == ApRadioState::kOn) {
       clients_connected_ = true;
       Record("client_connected", current_ ? current_->channel.number : -1);

@@ -198,7 +198,10 @@ class ChannelSelector {
   SimTime last_lease_confirm_ = -1;
   std::uint64_t failed_polls_ = 0;
   EventId poll_event_;
-  EventId pending_transition_;
+  /// The pending reboot, restart or client-reacquire step. A Timer, so a
+  /// step forgets its event once it fires and a later Cancel leaves
+  /// nothing behind in the simulator.
+  Timer transition_timer_;
   Timer init_retry_timer_;
   Timer deadline_timer_;  // fires at last confirm + budget - vacate_delay
   Timer vacate_timer_;    // models the radio-off latency

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace cellfi::core {
 namespace {
@@ -25,29 +26,61 @@ const CqiDetectorConfig& Validated(const CqiDetectorConfig& config) {
 CqiInterferenceDetector::CqiInterferenceDetector(int num_subchannels,
                                                  CqiDetectorConfig config)
     : config_(Validated(config)),
-      bands_(static_cast<std::size_t>(num_subchannels)) {}
+      bands_(static_cast<std::size_t>(num_subchannels)),
+      ring_(bands_.size() * cap_) {}
+
+void CqiInterferenceDetector::Grow() {
+  const std::uint32_t new_cap = cap_ * 2;
+  std::vector<Candidate> grown(bands_.size() * new_cap);
+  for (std::size_t s = 0; s < bands_.size(); ++s) {
+    Band& band = bands_[s];
+    for (std::uint32_t i = 0; i < band.count; ++i) {
+      grown[s * new_cap + i] = ring_[s * cap_ + ((band.head + i) & (cap_ - 1))];
+    }
+    band.head = 0;
+  }
+  ring_ = std::move(grown);
+  cap_ = new_cap;
+}
 
 void CqiInterferenceDetector::AddReport(const std::vector<int>& subband_cqi) {
   const std::size_t n = std::min(subband_cqi.size(), bands_.size());
+  // Locals, so the stores below cannot force reloads of the config.
+  const auto window = static_cast<std::uint32_t>(config_.max_window);
+  const double ratio = config_.ratio;
+  const double smoothing = config_.smoothing;
+  std::uint32_t mask = cap_ - 1;
   for (std::size_t s = 0; s < n; ++s) {
     Band& band = bands_[s];
-    const std::int64_t index = band.samples++;
-    auto& candidates = band.max_candidates;
-    while (!candidates.empty() && candidates.back().value <= subband_cqi[s]) {
-      candidates.pop_back();
+    const int value = subband_cqi[s];
+    const std::uint32_t index = band.samples++;
+    std::uint32_t head = band.head;
+    std::uint32_t count = band.count;
+    Candidate* ring = ring_.data() + s * (mask + 1);
+    while (count > 0 && ring[(head + count - 1) & mask].value <= value) --count;
+    if (count == mask + 1) {
+      band.count = count;
+      Grow();
+      head = 0;
+      mask = cap_ - 1;
+      ring = ring_.data() + s * cap_;
     }
-    candidates.push_back({index, subband_cqi[s]});
-    if (candidates.front().index <= index - config_.max_window) candidates.pop_front();
-    const double threshold = config_.ratio * static_cast<double>(candidates.front().value);
-    if (static_cast<double>(subband_cqi[s]) < threshold) {
+    ring[(head + count) & mask] = {index, value};
+    ++count;
+    if (index - ring[head].index >= window) {
+      head = (head + 1) & mask;
+      --count;
+    }
+    band.head = head;
+    band.count = count;
+    if (static_cast<double>(value) < ratio * static_cast<double>(ring[head].value)) {
       ++band.low_streak;
     } else {
       band.low_streak = 0;
     }
-    band.smoothed = band.smoothed < 0.0
-                        ? static_cast<double>(subband_cqi[s])
-                        : (1.0 - config_.smoothing) * band.smoothed +
-                              config_.smoothing * static_cast<double>(subband_cqi[s]);
+    band.smoothed = band.smoothed < 0.0 ? static_cast<double>(value)
+                                        : (1.0 - smoothing) * band.smoothed +
+                                              smoothing * static_cast<double>(value);
   }
 
   if (config_.enable_spectral_rule) {
@@ -72,7 +105,7 @@ bool CqiInterferenceDetector::Detected(int s) const {
 
 int CqiInterferenceDetector::MaxCqi(int s) const {
   const Band& band = bands_[static_cast<std::size_t>(s)];
-  return band.max_candidates.empty() ? 0 : band.max_candidates.front().value;
+  return band.count == 0 ? 0 : ring_[static_cast<std::size_t>(s) * cap_ + band.head].value;
 }
 
 }  // namespace cellfi::core

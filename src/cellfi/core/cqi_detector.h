@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 namespace cellfi::core {
@@ -59,23 +58,42 @@ class CqiInterferenceDetector {
  private:
   /// One candidate for the window max: the band's `index`-th sample.
   struct Candidate {
-    std::int64_t index;
+    std::uint32_t index;
     int value;
   };
+  /// Per band, the candidates form a monotonic deque over the last
+  /// max_window samples: values strictly decrease from front to back, so
+  /// the front is the exact window max. A sample is dropped once a later
+  /// one is at least as large (it can never be the max again) or once it
+  /// leaves the window. With CQI in 0..15 a band never holds more than 16.
+  ///
+  /// The deque lives in `ring_`: band `s` owns slots [s*cap_, (s+1)*cap_)
+  /// and uses them as a ring from `head` for `count` entries. `cap_` is a
+  /// power of two; a push into a full band doubles it for every band
+  /// (Grow), so any int stream and any window stay exact.
+  ///
+  /// Sample indices are 32-bit and wrap. The expiry test
+  /// `index - front.index >= max_window` runs in unsigned arithmetic and
+  /// is still exact: the front is never more than max_window (<= INT_MAX)
+  /// samples older than the new sample, so the difference mod 2^32 is the
+  /// true difference.
   struct Band {
-    /// Monotonic deque over the last max_window samples: values strictly
-    /// decrease from front to back, so the front is the exact window max.
-    /// A sample is dropped once a later one is at least as large (it can
-    /// never be the max again) or once it leaves the window. With CQI in
-    /// 0..15 it never holds more than 16 entries.
-    std::deque<Candidate> max_candidates;
-    std::int64_t samples = 0;  // reports seen on this band
-    int low_streak = 0;      // temporal rule
-    double smoothed = -1.0;  // EWMA; -1 = no samples yet
-    int spectral_streak = 0; // spectral rule
+    std::uint32_t head = 0;     // ring slot of the front candidate
+    std::uint32_t count = 0;    // candidates held
+    std::uint32_t samples = 0;  // reports seen on this band (mod 2^32)
+    int low_streak = 0;         // temporal rule
+    double smoothed = -1.0;     // EWMA; -1 = no samples yet
+    int spectral_streak = 0;    // spectral rule
   };
+
+  /// Double `cap_`, moving each band's candidates to the front of its
+  /// new, larger slot range.
+  void Grow();
+
   CqiDetectorConfig config_;
   std::vector<Band> bands_;
+  std::uint32_t cap_ = 4;        // ring slots per band (power of two)
+  std::vector<Candidate> ring_;  // bands_.size() * cap_ candidates
 };
 
 }  // namespace cellfi::core

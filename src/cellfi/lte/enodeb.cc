@@ -39,9 +39,9 @@ UeContext* EnodeB::FindUe(UeId ue) {
   return it != ues_.end() ? it->get() : nullptr;
 }
 
-void EnodeB::SetAllowedMask(std::vector<bool> mask) {
+void EnodeB::SetAllowedMask(const std::vector<bool>& mask) {
   assert(static_cast<int>(mask.size()) == grid_.num_subchannels());
-  allowed_mask_ = std::move(mask);
+  allowed_mask_ = mask;  // same size: copies into the existing storage
 }
 
 int EnodeB::allowed_count() const {

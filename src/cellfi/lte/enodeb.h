@@ -90,7 +90,7 @@ class EnodeB {
   // --- Interference-management interface ------------------------------------
   /// Restrict the scheduler to these subchannels (CellFi IM). Size must be
   /// num_subchannels.
-  void SetAllowedMask(std::vector<bool> mask);
+  void SetAllowedMask(const std::vector<bool>& mask);
   const std::vector<bool>& allowed_mask() const { return allowed_mask_; }
   /// Number of subchannels currently allowed.
   int allowed_count() const;

@@ -71,8 +71,8 @@ void LteNetwork::SetCellActive(CellId id, bool active) {
   ++activity_epoch_;
 }
 
-void LteNetwork::SetAllowedMask(CellId id, std::vector<bool> mask) {
-  cells_[static_cast<std::size_t>(id)].mac->SetAllowedMask(std::move(mask));
+void LteNetwork::SetAllowedMask(CellId id, const std::vector<bool>& mask) {
+  cells_[static_cast<std::size_t>(id)].mac->SetAllowedMask(mask);
 }
 
 void LteNetwork::SetBackgroundLoad(CellId id, double fraction) {

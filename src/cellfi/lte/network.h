@@ -170,7 +170,7 @@ class LteNetwork {
   std::function<void(CellId, UeId, const CqiMeasurement&)> on_cqi_report;
 
   /// Restrict a cell's scheduler (CellFi interference management).
-  void SetAllowedMask(CellId id, std::vector<bool> mask);
+  void SetAllowedMask(CellId id, const std::vector<bool>& mask);
 
   /// Aggregate background PRB demand for a cell (DESIGN.md §18): fraction
   /// of its allowed subchannels occupied by unmodelled background users

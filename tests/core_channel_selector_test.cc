@@ -175,5 +175,42 @@ TEST_F(SelectorFixture, CallbacksFire) {
   EXPECT_EQ(lost, 1);
 }
 
+TEST_F(SelectorFixture, StopAndCrashCyclesLeaveNoStaleCancellations) {
+  // Three crashes and two lease losses, each after clients have connected,
+  // so every one of them finds its reacquire step already fired. The run
+  // ends 90 s into the last crash's reboot: polling has stopped, and every
+  // event a Cancel marked (vacate deadline, request timeouts) has popped.
+  auto sel = MakeSelector(quiet_);
+  auto crash_at = [&](SimTime t) {
+    sim_.ScheduleAt(t, [&] {
+      session_.Reset();
+      sel.Crash();
+    });
+  };
+  auto block_all = [&](SimTime start, SimTime stop) {
+    for (int ch = 14; ch <= 51; ++ch) {
+      db_.AddIncumbent({.id = "b" + std::to_string(ch) + "@" + std::to_string(start),
+                        .channel = ch, .location = kHere, .protection_radius_m = 10'000.0,
+                        .start = start, .stop = stop});
+    }
+  };
+  crash_at(200 * kSecond);
+  block_all(500 * kSecond, 600 * kSecond);
+  crash_at(800 * kSecond);
+  block_all(1100 * kSecond, 1200 * kSecond);
+  crash_at(1500 * kSecond);
+  sel.Start();
+  sim_.RunUntil(1590 * kSecond);
+
+  EXPECT_EQ(sel.crash_count(), 3u);
+  EXPECT_EQ(sel.state(), ApRadioState::kOff);
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    EXPECT_LT(TimeOf(sel.timeline(), "client_connected", cycle), 1500 * kSecond) << cycle;
+    EXPECT_GE(TimeOf(sel.timeline(), "client_connected", cycle), 0) << cycle;
+  }
+  EXPECT_GE(TimeOf(sel.timeline(), "ap_off", 1), 1100 * kSecond);
+  EXPECT_EQ(sim_.pending_cancellations(), 0u);
+}
+
 }  // namespace
 }  // namespace cellfi::core

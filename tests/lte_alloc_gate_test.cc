@@ -4,6 +4,9 @@
 // without allocating, so once a network has warmed up, running it touches
 // the heap zero times. Registering radio nodes allocates O(n) bytes in
 // total: link rows are sized on a receiver's first query, not per AddNode.
+// A CQI detector keeps its candidates in one ring for all sub-bands, so a
+// paper-sized detector stays within a few KiB and stops allocating once
+// its ring has grown to the CQI range.
 //
 // This binary replaces the global operator new/delete with a counting pair,
 // which is why it is its own executable. Sanitizer builds own operator new
@@ -18,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cellfi/common/rng.h"
+#include "cellfi/core/cqi_detector.h"
 #include "cellfi/lte/network.h"
 #include "cellfi/radio/pathloss.h"
 
@@ -201,6 +206,43 @@ TEST(RadioRegistrationTest, AllocatesLinearBytes) {
   g_counting.store(false);
   EXPECT_TRUE(std::isfinite(gain));
   EXPECT_LT(g_bytes.load(), 64u * kNodes) << "bytes allocated by the first query";
+#endif
+}
+
+TEST(CqiDetectorMemoryTest, PaperDetectorStaysSmall) {
+#ifdef CELLFI_ALLOC_GATE_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes replace operator new; the counting "
+                  "replacement is compiled out";
+#else
+  constexpr int kBands = 13;
+  Rng rng(17);
+  std::vector<int> report(kBands);
+  auto next_report = [&] {
+    for (int& cqi : report) cqi = static_cast<int>(rng.UniformInt(0, 15));
+  };
+  g_allocations.store(0);
+  g_bytes.store(0);
+  g_counting.store(true);
+  core::CqiInterferenceDetector detector(kBands, {.max_window = 500});
+  for (int r = 0; r < 1000; ++r) {
+    next_report();
+    detector.AddReport(report);
+  }
+  g_counting.store(false);
+  EXPECT_LT(g_bytes.load(), 4096u) << "bytes allocated by construction and 1,000 reports ("
+                                   << g_allocations.load() << " allocations)";
+
+  // CQI spans 0..15, so no band ever holds more than 16 candidates. The
+  // reports above have grown the ring to 16 slots per band (3,328 B in
+  // four blocks), so from here on reports never touch the heap.
+  g_allocations.store(0);
+  g_counting.store(true);
+  for (int r = 0; r < 10000; ++r) {
+    next_report();
+    detector.AddReport(report);
+  }
+  g_counting.store(false);
+  EXPECT_EQ(g_allocations.load(), 0u) << "heap allocations over the next 10,000 reports";
 #endif
 }
 

@@ -73,8 +73,10 @@
 #            LTE backlogged with 16 APs, CellFi web, and 802.11af and the
 #            oracle backlogged, whose carrier sense, association and
 #            conflict graph read link gains no perfbench workload runs).
-#            A few minutes: four library builds, eight replications and
-#            eight scenarios.
+#            The same builds give bench_cqi_detector and bench_fig8, which
+#            drive the CQI interference detector directly; their stdout is
+#            `cmp`ed too. A few minutes: four library builds, eight
+#            replications, eight scenarios and four detector benches.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -155,12 +157,13 @@ PY
     done
   done
 
-  step "same-bytes: build run_scenario at $SAME_BYTES_REF and from the working tree"
+  step "same-bytes: build run_scenario and the detector benches at $SAME_BYTES_REF and from the working tree"
+  scenario_targets=(run_scenario bench_cqi_detector bench_fig8)
   cmake -S "$ref_dir/src" -B "$ref_dir/build-scenario" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$ref_dir/build-scenario" -j "$(nproc)" --target run_scenario
+  cmake --build "$ref_dir/build-scenario" -j "$(nproc)" --target "${scenario_targets[@]}"
   tree_scenario_build="$ROOT/build-same-bytes-scenario"
   cmake -S "$ROOT" -B "$tree_scenario_build" -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$tree_scenario_build" -j "$(nproc)" --target run_scenario
+  cmake --build "$tree_scenario_build" -j "$(nproc)" --target "${scenario_targets[@]}"
 
   step "same-bytes: fading-off run_scenario reports, $SAME_BYTES_REF vs working tree"
   "$tree_scenario_build/examples/run_scenario" --print-config > "$ref_dir/default.json"
@@ -193,8 +196,20 @@ PY
     fi
   done
 
+  step "same-bytes: CQI detector benches, $SAME_BYTES_REF vs working tree"
+  for bench in bench_cqi_detector bench_fig8; do
+    "$ref_dir/build-scenario/bench/$bench" > "$ref_dir/$bench.ref.out"
+    "$tree_scenario_build/bench/$bench" > "$ref_dir/$bench.tree.out"
+    if cmp -s "$ref_dir/$bench.ref.out" "$ref_dir/$bench.tree.out"; then
+      echo "$bench: identical"
+    else
+      echo "$bench: OUTPUT DIFFERS" >&2
+      mismatches=$((mismatches + 1))
+    fi
+  done
+
   if [[ "$mismatches" -ne 0 ]]; then
-    echo "check.sh: $mismatches outcome(s) or report(s) differ from $SAME_BYTES_REF" >&2
+    echo "check.sh: $mismatches outcome(s), report(s) or bench output(s) differ from $SAME_BYTES_REF" >&2
     exit 1
   fi
   step "same-bytes gate passed"
