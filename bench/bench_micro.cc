@@ -268,6 +268,37 @@ void BM_CqiDetectorAddReport(benchmark::State& state) {
 }
 BENCHMARK(BM_CqiDetectorAddReport);
 
+// The same detector on the stream a fig9_cellfi run feeds it: about 95 %
+// of reports repeat the client's previous report (the SINRs hold within a
+// fading block), the rest drift as above.
+void BM_CqiDetectorAddReportRepeated(benchmark::State& state) {
+  constexpr int kBands = 13;
+  Rng rng(8);
+  std::vector<std::vector<int>> stream(4096, std::vector<int>(kBands));
+  std::vector<int> level(kBands, 10);
+  for (auto& report : stream) {
+    if (&report != &stream.front() && rng.Bernoulli(0.95)) {
+      report = *(&report - 1);
+      continue;
+    }
+    for (int s = 0; s < kBands; ++s) {
+      auto& l = level[static_cast<std::size_t>(s)];
+      l = std::clamp(l + static_cast<int>(rng.UniformInt(-1, 1)), 0, 15);
+      report[static_cast<std::size_t>(s)] =
+          rng.Bernoulli(0.05) ? static_cast<int>(rng.UniformInt(0, 5)) : l;
+    }
+  }
+  core::CqiInterferenceDetector detector(kBands, {.max_window = 500});
+  std::size_t i = 0;
+  for (auto _ : state) {
+    detector.AddReport(stream[i]);
+    i = (i + 1) % stream.size();
+    benchmark::DoNotOptimize(detector.LowStreak(0));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CqiDetectorAddReportRepeated);
+
 // Shared setup for the interference-engine kernels: `n` cells all
 // transmitting full-band (13 subchannels, flat PSD) and one receiver,
 // no fading — the regime where the engine's aggregate cache pays.
@@ -354,6 +385,29 @@ void BM_ImapSinrDbSteady(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 13);
 }
 BENCHMARK(BM_ImapSinrDbSteady)->Arg(0)->Arg(1);
+
+// BM_ImapSinrDbSteady with the 13 queries made as one row query, the way a
+// CQI report is measured: the key fields the sub-bands share are built
+// once per row instead of once per sub-band.
+void BM_ImapSinrDbRowSteady(benchmark::State& state) {
+  EngineBenchWorld w(14, /*fading=*/true);
+  const bool new_lists = state.range(0) != 0;
+  state.SetLabel(new_lists ? "new_lists" : "repeated_lists");
+  std::vector<double> row(13);
+  double epoch = 0.0;
+  for (auto _ : state) {
+    epoch += 1.0;
+    w.imap.BeginEpoch(13, 360e3);
+    for (std::size_t i = 0; i < w.cells.size(); ++i) {
+      const double scale = (i == 0 && new_lists) ? 1.0 / (13.0 + epoch) : 1.0 / 13.0;
+      for (int s = 0; s < 13; ++s) w.imap.AddTransmitter(s, w.cells[i], scale);
+    }
+    w.imap.SinrDbRow(w.tx, w.rx, 0, 1.0 / 13.0, row);
+    benchmark::DoNotOptimize(row.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 13);
+}
+BENCHMARK(BM_ImapSinrDbRowSteady)->Arg(0)->Arg(1);
 
 void BM_SinrPerLinkLegacy(benchmark::State& state) {
   // What the engine replaces: rebuild the interferer vector and pay the

@@ -1,5 +1,6 @@
 #include "cellfi/core/cellfi_controller.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "cellfi/chaos/invariants.h"
@@ -33,15 +34,30 @@ CellfiController::CellfiController(Simulator& sim, lte::LteNetwork& net,
     sensors_[static_cast<std::size_t>(o.observer)].OnPreamble(o.ue, o.serving, sim_.Now());
   };
   net_.on_cqi_report = [this](CellId cell, UeId ue, const CqiMeasurement& m) {
-    auto& per_cell = detectors_[static_cast<std::size_t>(cell)];
-    auto it = per_cell.find(ue);
-    if (it == per_cell.end()) {
-      it = per_cell
-               .emplace(ue, CqiInterferenceDetector(num_subchannels_, config_.detector))
-               .first;
-    }
-    it->second.AddReport(m.subband_cqi);
+    DetectorFor(cell, ue).AddReport(m.subband_cqi);
   };
+}
+
+const CqiInterferenceDetector* CellfiController::CellDetectors::Find(UeId ue) const {
+  const auto u = static_cast<std::size_t>(ue);
+  if (u >= index_of_ue.size() || index_of_ue[u] < 0) return nullptr;
+  return &detectors[static_cast<std::size_t>(index_of_ue[u])];
+}
+
+CqiInterferenceDetector& CellfiController::DetectorFor(CellId cell, UeId ue) {
+  CellDetectors& per_cell = detectors_[static_cast<std::size_t>(cell)];
+  const auto u = static_cast<std::size_t>(ue);
+  if (u >= per_cell.index_of_ue.size()) {
+    // Sized for every UE the network has at once, so it grows only if UEs
+    // are added after the run starts.
+    per_cell.index_of_ue.resize(std::max(u + 1, net_.ue_count()), -1);
+  }
+  std::int32_t& index = per_cell.index_of_ue[u];
+  if (index < 0) {
+    index = static_cast<std::int32_t>(per_cell.detectors.size());
+    per_cell.detectors.emplace_back(num_subchannels_, config_.detector);
+  }
+  return per_cell.detectors[static_cast<std::size_t>(index)];
 }
 
 void CellfiController::SetAggregateContenders(CellId observer, CellId serving,
@@ -76,7 +92,7 @@ void CellfiController::BuildInputs(CellId cell) {
   lte::EnodeB& enb = net_.cell(cell);
   const auto& stats = enb.schedule_stats();
   const double dl_subframes = std::max(stats.dl_subframes, 1);
-  auto& per_cell_detectors = detectors_[static_cast<std::size_t>(cell)];
+  const CellDetectors& per_cell_detectors = detectors_[static_cast<std::size_t>(cell)];
 
   any_detection_.assign(static_cast<std::size_t>(num_subchannels_), false);
 
@@ -91,7 +107,7 @@ void CellfiController::BuildInputs(CellId cell) {
       }
     }
 
-    const auto det_it = per_cell_detectors.find(ue);
+    const CqiInterferenceDetector* detector = per_cell_detectors.Find(ue);
     for (int s = 0; s < num_subchannels_; ++s) {
       // Utility: achievable throughput from the last CQI reading, scaled by
       // how much this client was actually scheduled (Section 5.3).
@@ -101,8 +117,7 @@ void CellfiController::BuildInputs(CellId cell) {
       // Interference pressure with the measured detector imperfections.
       // Only clients actually scheduled on the subchannel contribute
       // (Section 5.3: the decrement is frac_j, their scheduled-time share).
-      const bool truly_detected =
-          det_it != per_cell_detectors.end() && det_it->second.Detected(s);
+      const bool truly_detected = detector != nullptr && detector->Detected(s);
       if (truly_detected) any_detection_[static_cast<std::size_t>(s)] = true;
       double frac_j = 0.0;
       if (sched_it != stats.ue_subchannel_subframes.end()) {

@@ -10,8 +10,8 @@
 // injected here, exactly as in the paper's ns-3 setup.
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cellfi/core/cqi_detector.h"
@@ -57,6 +57,12 @@ class CellfiController {
   /// one contender, own clients are those with serving == observer.
   void SetAggregateContenders(lte::CellId observer, lte::CellId serving, int count);
 
+  /// `ue`'s CQI detector at `cell`, or nullptr before the UE's first
+  /// report there (test hook).
+  const CqiInterferenceDetector* detector(lte::CellId cell, lte::UeId ue) const {
+    return detectors_[static_cast<std::size_t>(cell)].Find(ue);
+  }
+
   /// Total bucket-exhaustion hops across all cells (convergence metric).
   std::uint64_t total_hops() const;
 
@@ -74,8 +80,20 @@ class CellfiController {
   Rng rng_;
   std::vector<std::unique_ptr<InterferenceManager>> managers_;
   std::vector<PrachSensor> sensors_;
-  /// Detector per (cell, ue): fed from that cell's CQI reports.
-  std::vector<std::unordered_map<lte::UeId, CqiInterferenceDetector>> detectors_;
+  /// One cell's detectors, one per UE that ever reported to it, fed from
+  /// the cell's CQI reports. A detector is kept when its UE leaves, so a
+  /// UE that hands over and comes back resumes it.
+  struct CellDetectors {
+    /// UE id -> index into `detectors`; -1 (or past the end) = none yet.
+    std::vector<std::int32_t> index_of_ue;
+    std::vector<CqiInterferenceDetector> detectors;  // in first-report order
+
+    /// The UE's detector, or nullptr.
+    const CqiInterferenceDetector* Find(lte::UeId ue) const;
+  };
+  /// The UE's detector at `cell`, created on its first report.
+  CqiInterferenceDetector& DetectorFor(lte::CellId cell, lte::UeId ue);
+  std::vector<CellDetectors> detectors_;
   /// Per-cell, per-subchannel epochs since last detection (re-use packing).
   std::vector<std::vector<int>> free_streak_;
   std::vector<int> last_epoch_hops_;

@@ -27,7 +27,9 @@ CqiInterferenceDetector::CqiInterferenceDetector(int num_subchannels,
                                                  CqiDetectorConfig config)
     : config_(Validated(config)),
       bands_(static_cast<std::size_t>(num_subchannels)),
-      ring_(bands_.size() * cap_) {}
+      ring_(bands_.size() * cap_),
+      smoothed_(bands_.size(), -1.0),
+      spectral_streak_(bands_.size(), 0) {}
 
 void CqiInterferenceDetector::Grow() {
   const std::uint32_t new_cap = cap_ * 2;
@@ -57,16 +59,21 @@ void CqiInterferenceDetector::AddReport(const std::vector<int>& subband_cqi) {
     std::uint32_t head = band.head;
     std::uint32_t count = band.count;
     Candidate* ring = ring_.data() + s * (mask + 1);
-    while (count > 0 && ring[(head + count - 1) & mask].value <= value) --count;
-    if (count == mask + 1) {
-      band.count = count;
-      Grow();
-      head = 0;
-      mask = cap_ - 1;
-      ring = ring_.data() + s * cap_;
+    if (count > 0 && ring[(head + count - 1) & mask].value == value) {
+      // The repeated-report case: nothing to pop, the back moves forward.
+      ring[(head + count - 1) & mask].index = index;
+    } else {
+      while (count > 0 && ring[(head + count - 1) & mask].value <= value) --count;
+      if (count == mask + 1) {
+        band.count = count;
+        Grow();
+        head = 0;
+        mask = cap_ - 1;
+        ring = ring_.data() + s * cap_;
+      }
+      ring[(head + count) & mask] = {index, value};
+      ++count;
     }
-    ring[(head + count) & mask] = {index, value};
-    ++count;
     if (index - ring[head].index >= window) {
       head = (head + 1) & mask;
       --count;
@@ -78,21 +85,21 @@ void CqiInterferenceDetector::AddReport(const std::vector<int>& subband_cqi) {
     } else {
       band.low_streak = 0;
     }
-    band.smoothed = band.smoothed < 0.0 ? static_cast<double>(value)
-                                        : (1.0 - smoothing) * band.smoothed +
-                                              smoothing * static_cast<double>(value);
+  }
+
+  // The EWMA in its own pass over the contiguous array.
+  for (std::size_t s = 0; s < n; ++s) {
+    const double value = static_cast<double>(subband_cqi[s]);
+    smoothed_[s] = smoothed_[s] < 0.0 ? value
+                                      : (1.0 - smoothing) * smoothed_[s] + smoothing * value;
   }
 
   if (config_.enable_spectral_rule) {
     double best = 0.0;
-    for (std::size_t s = 0; s < n; ++s) best = std::max(best, bands_[s].smoothed);
+    for (std::size_t s = 0; s < n; ++s) best = std::max(best, smoothed_[s]);
+    const double bar = ratio * best;
     for (std::size_t s = 0; s < n; ++s) {
-      Band& band = bands_[s];
-      if (band.smoothed < config_.ratio * best) {
-        ++band.spectral_streak;
-      } else {
-        band.spectral_streak = 0;
-      }
+      spectral_streak_[s] = smoothed_[s] < bar ? spectral_streak_[s] + 1 : 0;
     }
   }
 }
@@ -100,7 +107,7 @@ void CqiInterferenceDetector::AddReport(const std::vector<int>& subband_cqi) {
 bool CqiInterferenceDetector::Detected(int s) const {
   const Band& band = bands_[static_cast<std::size_t>(s)];
   return band.low_streak >= config_.consecutive ||
-         band.spectral_streak >= config_.consecutive;
+         spectral_streak_[static_cast<std::size_t>(s)] >= config_.consecutive;
 }
 
 int CqiInterferenceDetector::MaxCqi(int s) const {

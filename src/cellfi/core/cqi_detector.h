@@ -51,7 +51,7 @@ class CqiInterferenceDetector {
   int LowStreak(int s) const { return bands_[static_cast<std::size_t>(s)].low_streak; }
 
   /// Smoothed CQI on subchannel `s` (spectral rule input).
-  double SmoothedCqi(int s) const { return bands_[static_cast<std::size_t>(s)].smoothed; }
+  double SmoothedCqi(int s) const { return smoothed_[static_cast<std::size_t>(s)]; }
 
   int num_subchannels() const { return static_cast<int>(bands_.size()); }
 
@@ -66,6 +66,9 @@ class CqiInterferenceDetector {
   /// the front is the exact window max. A sample is dropped once a later
   /// one is at least as large (it can never be the max again) or once it
   /// leaves the window. With CQI in 0..15 a band never holds more than 16.
+  /// A sample equal to the back candidate (the previous sample, in a
+  /// repeated report) only moves that candidate's index forward: popping
+  /// it and pushing the sample would leave the same values.
   ///
   /// The deque lives in `ring_`: band `s` owns slots [s*cap_, (s+1)*cap_)
   /// and uses them as a ring from `head` for `count` entries. `cap_` is a
@@ -82,8 +85,6 @@ class CqiInterferenceDetector {
     std::uint32_t count = 0;    // candidates held
     std::uint32_t samples = 0;  // reports seen on this band (mod 2^32)
     int low_streak = 0;         // temporal rule
-    double smoothed = -1.0;     // EWMA; -1 = no samples yet
-    int spectral_streak = 0;    // spectral rule
   };
 
   /// Double `cap_`, moving each band's candidates to the front of its
@@ -94,6 +95,10 @@ class CqiInterferenceDetector {
   std::vector<Band> bands_;
   std::uint32_t cap_ = 4;        // ring slots per band (power of two)
   std::vector<Candidate> ring_;  // bands_.size() * cap_ candidates
+  /// Spectral-rule state, one contiguous array per field so the per-report
+  /// best-band scan and streak update run over plain arrays.
+  std::vector<double> smoothed_;      // EWMA per band; -1 = no samples yet
+  std::vector<int> spectral_streak_;  // per band
 };
 
 }  // namespace cellfi::core

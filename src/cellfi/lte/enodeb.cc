@@ -71,8 +71,9 @@ Transmission EnodeB::MakeNewBlock(const UeContext& ue, int ue_index,
   Transmission tx;
   tx.ue = ue.id();
   tx.ue_index = ue_index;
-  tx.cqi = std::max(AggregateCqi(ue.subband_cqi(), subchannels),
-                    ue.has_cqi() ? 0 : kMinCqi);
+  // Before the first report the efficiency row holds kMinCqi's, so the
+  // block goes out at kMinCqi.
+  tx.cqi = AggregateCqi(ue.cqi_efficiency(), subchannels);
   int rbs = 0;
   for (int s : subchannels) rbs += grid_.SubchannelRbCount(s);
   tx.tb_bits = TransportBlockBits(tx.cqi, rbs, grid_.DataResourceElementsPerRb());
@@ -96,20 +97,35 @@ Transmission EnodeB::MakeRetxBlock(const UeContext& ue, int ue_index,
   return tx;
 }
 
-void EnodeB::EmitTransmissions(TxPlan& plan, bool uplink) const {
+void EnodeB::EmitTransmissions(TxPlan& plan, bool uplink) {
+  // One bucketing pass over the assignment: count each UE's grants, lay
+  // the UEs' runs out in list order, then drop each granted subchannel
+  // into its UE's run in ascending order.
   std::vector<int>& pool = plan.subchannel_pool;
-  assert(pool.capacity() >= assignment_.size());
+  assert(pool.empty() && pool.capacity() >= assignment_.size());
   plan.transmissions.reserve(ues_.size());
+  // run_end_[u] ends up as the end of UE u's run, and its start is
+  // run_end_[u - 1] (0 for u = 0). Reserved in step with the UE list's
+  // capacity, so attaches do not regrow it one UE at a time.
+  run_end_.reserve(ues_.capacity() + 1);
+  run_end_.assign(ues_.size() + 1, 0);
   for (std::size_t s = 0; s < assignment_.size(); ++s) {
-    if (assignment_[s] >= 0) plan.data_active[s] = true;
+    if (assignment_[s] < 0) continue;
+    plan.data_active[s] = true;
+    ++run_end_[static_cast<std::size_t>(assignment_[s]) + 1];
+  }
+  for (std::size_t u = 0; u < ues_.size(); ++u) run_end_[u + 1] += run_end_[u];
+  pool.resize(static_cast<std::size_t>(run_end_[ues_.size()]));
+  for (std::size_t s = 0; s < assignment_.size(); ++s) {
+    if (assignment_[s] < 0) continue;
+    pool[static_cast<std::size_t>(run_end_[static_cast<std::size_t>(assignment_[s])]++)] =
+        static_cast<int>(s);
   }
   for (std::size_t u = 0; u < ues_.size(); ++u) {
-    const std::size_t begin = pool.size();
-    for (std::size_t s = 0; s < assignment_.size(); ++s) {
-      if (assignment_[s] == static_cast<int>(u)) pool.push_back(static_cast<int>(s));
-    }
-    if (pool.size() == begin) continue;
-    const std::span<const int> subchannels(pool.data() + begin, pool.size() - begin);
+    const int begin = u == 0 ? 0 : run_end_[u - 1];
+    if (run_end_[u] == begin) continue;
+    const std::span<const int> subchannels(pool.data() + begin,
+                                           static_cast<std::size_t>(run_end_[u] - begin));
     const UeContext& ue = *ues_[u];
     const HarqState& h = uplink ? ue.harq_ul() : ue.harq_dl();
     plan.transmissions.push_back(

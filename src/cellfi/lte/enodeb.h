@@ -153,7 +153,7 @@ class EnodeB {
  private:
   /// Turn assignment_ into `plan`: one transmission per granted UE, in
   /// UE-list order, its subchannels written straight into the plan's pool.
-  void EmitTransmissions(TxPlan& plan, bool uplink) const;
+  void EmitTransmissions(TxPlan& plan, bool uplink);
   Transmission MakeNewBlock(const UeContext& ue, int ue_index,
                             std::span<const int> subchannels, bool uplink) const;
   Transmission MakeRetxBlock(const UeContext& ue, int ue_index,
@@ -179,6 +179,8 @@ class EnodeB {
   /// of the UE list and its output.
   std::vector<UeContext*> ue_ptrs_;
   SubchannelAssignment assignment_;
+  /// EmitTransmissions scratch: per UE, where its run of the pool ends.
+  std::vector<int> run_end_;
   std::uint64_t total_dl_bits_ = 0;
   std::uint64_t total_ul_bits_ = 0;
   ScheduleStats schedule_stats_;

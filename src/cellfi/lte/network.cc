@@ -388,11 +388,8 @@ void LteNetwork::MeasureDownlinkSinrInto(UeId ue_id, std::vector<double>& out) c
   const double signal_scale = 1.0 / static_cast<double>(num_subchannels_);
   const double crs_penalty = IdleCrsPenaltyDb(info.serving, info.radio);
   EnsureDownlinkMap();
-  for (int s = 0; s < num_subchannels_; ++s) {
-    out[static_cast<std::size_t>(s)] =
-        imap_.SinrDb(serving.radio, info.radio, s, sim_.Now(), signal_scale) -
-        crs_penalty;
-  }
+  imap_.SinrDbRow(serving.radio, info.radio, sim_.Now(), signal_scale, out);
+  for (double& sinr : out) sinr -= crs_penalty;
 }
 
 std::vector<double> LteNetwork::MeasureDownlinkSinr(UeId ue_id) const {
@@ -512,8 +509,8 @@ void LteNetwork::StageTransmissions(const LinkOf& link_of) {
         const StagedLink link = link_of(static_cast<CellId>(c), tx);
         double sinr_linear_sum = 0.0;
         for (int sub : tx.subchannels) {
-          sinr_linear_sum += DbToLinear(
-              imap_.SinrDb(link.source, link.receiver, sub, sim_.Now(), link.signal_scale));
+          sinr_linear_sum +=
+              imap_.SinrLinear(link.source, link.receiver, sub, sim_.Now(), link.signal_scale);
         }
         staged.push_back(
             LinearToDb(sinr_linear_sum / static_cast<double>(tx.subchannels.size())) -

@@ -1,8 +1,8 @@
 #include "cellfi/lte/scheduler.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
+#include <limits>
 
 #include "cellfi/obs/metrics.h"
 #include "cellfi/obs/trace.h"
@@ -11,13 +11,6 @@
 namespace cellfi::lte {
 
 namespace {
-
-/// CQI used for a UE that has not reported yet (just attached): the most
-/// robust MCS.
-int EffectiveSubbandCqi(const UeContext& ue, int subchannel) {
-  if (!ue.has_cqi()) return kMinCqi;
-  return ue.SubbandCqi(subchannel);
-}
 
 /// What every concrete scheduler shares: the HARQ-first claim, the one
 /// backlog-ordered uplink policy, and the ranking/order scratch they run
@@ -46,7 +39,7 @@ class SchedulerBase : public Scheduler {
         if (needed_bits == 0) break;
         if (out[static_cast<std::size_t>(s)] != -1) continue;
         out[static_cast<std::size_t>(s)] = static_cast<int>(u);
-        const int cqi = EffectiveSubbandCqi(ue, s);
+        const int cqi = ue.EffectiveSubbandCqi(s);
         const std::uint64_t tb =
             static_cast<std::uint64_t>(TransportBlockBits(cqi, rbs_per_subchannel,
                                                           data_re_per_rb));
@@ -94,25 +87,34 @@ class ProportionalFairScheduler final : public SchedulerBase {
                       SubchannelAssignment& out) override {
     ClaimHarqRetransmissions(ues, allowed_mask, out);
 
-    // PF metric per (subchannel, ue): instantaneous rate / average rate.
+    // PF metric per (subchannel, ue): instantaneous rate / average rate,
+    // from each UE's cached efficiency row. UE-major: a subchannel goes to
+    // the first UE (in list order) with the strictly largest positive
+    // metric. Subchannels not open to PF start at +inf, so no metric takes
+    // them.
+    constexpr double kClosed = std::numeric_limits<double>::infinity();
+    best_metric_.resize(allowed_mask.size());
     for (std::size_t s = 0; s < allowed_mask.size(); ++s) {
-      if (!allowed_mask[s] || out[s] != -1) continue;
-      double best_metric = 0.0;
-      int best_ue = -1;
-      for (std::size_t u = 0; u < ues.size(); ++u) {
-        const UeContext& ue = *ues[u];
-        if (ue.harq_dl().active || ue.dl_queue_bytes() == 0) continue;
-        const int cqi = EffectiveSubbandCqi(ue, static_cast<int>(s));
-        if (cqi < kMinCqi) continue;
-        const double metric = CqiEfficiency(cqi) / ue.average_rate();
-        if (metric > best_metric) {
-          best_metric = metric;
-          best_ue = static_cast<int>(u);
+      best_metric_[s] = allowed_mask[s] && out[s] == -1 ? 0.0 : kClosed;
+    }
+    for (std::size_t u = 0; u < ues.size(); ++u) {
+      const UeContext& ue = *ues[u];
+      if (ue.harq_dl().active || ue.dl_queue_bytes() == 0) continue;
+      const std::vector<double>& efficiency = ue.cqi_efficiency();
+      const double average_rate = ue.average_rate();
+      for (std::size_t s = 0; s < allowed_mask.size(); ++s) {
+        // Efficiency 0 (CQI 0) gives metric 0, which never wins.
+        const double metric = efficiency[s] / average_rate;
+        if (metric > best_metric_[s]) {
+          best_metric_[s] = metric;
+          out[s] = static_cast<int>(u);
         }
       }
-      out[s] = best_ue;
     }
   }
+
+ private:
+  std::vector<double> best_metric_;
 };
 
 // Greedy: every subchannel to whoever can move the most bits through it.
@@ -131,7 +133,7 @@ class MaxCqiScheduler final : public SchedulerBase {
       for (std::size_t u = 0; u < ues.size(); ++u) {
         const UeContext& ue = *ues[u];
         if (ue.harq_dl().active || ue.dl_queue_bytes() == 0) continue;
-        const int cqi = EffectiveSubbandCqi(ue, static_cast<int>(s));
+        const int cqi = ue.EffectiveSubbandCqi(static_cast<int>(s));
         if (cqi > best_cqi) {
           best_cqi = cqi;
           best_ue = static_cast<int>(u);
@@ -154,7 +156,7 @@ class RoundRobinScheduler final : public SchedulerBase {
       for (std::size_t probe = 0; probe < ues.size(); ++probe) {
         const UeContext& ue = *ues[cursor % ues.size()];
         if (!ue.harq_dl().active && ue.dl_queue_bytes() > 0 &&
-            EffectiveSubbandCqi(ue, static_cast<int>(s)) >= kMinCqi) {
+            ue.EffectiveSubbandCqi(static_cast<int>(s)) >= kMinCqi) {
           out[s] = static_cast<int>(cursor % ues.size());
           ++cursor;
           break;
@@ -215,32 +217,16 @@ class ObservedScheduler final : public Scheduler {
 
 void RankSubchannelsByCqi(const UeContext& ue, const std::vector<bool>& allowed_mask,
                           std::vector<int>& out) {
-  // Counting sort: bucket each allowed subchannel by its CQI, lay the
-  // buckets out from CQI 15 down to 0, and fill each bucket in ascending
-  // subchannel order. That is exactly std::stable_sort by `ca > cb`,
-  // without its merge buffer.
-  std::array<int, kMaxCqi + 1> next{};
-  int total = 0;
-  for (std::size_t s = 0; s < allowed_mask.size(); ++s) {
-    if (!allowed_mask[s]) continue;
-    const int cqi = EffectiveSubbandCqi(ue, static_cast<int>(s));
-    assert(cqi >= 0 && cqi <= kMaxCqi);
-    ++next[static_cast<std::size_t>(cqi)];
-    ++total;
+  // The UE's cached order (rebuilt only when its report changes),
+  // filtered by the mask.
+  assert(allowed_mask.size() == ue.cqi_order().size());
+  out.resize(allowed_mask.size());
+  std::size_t kept = 0;
+  for (int s : ue.cqi_order()) {
+    out[kept] = s;
+    kept += allowed_mask[static_cast<std::size_t>(s)] ? 1 : 0;
   }
-  int pos = 0;
-  for (int c = kMaxCqi; c >= 0; --c) {
-    const int count = next[static_cast<std::size_t>(c)];
-    next[static_cast<std::size_t>(c)] = pos;
-    pos += count;
-  }
-  out.reserve(allowed_mask.size());
-  out.resize(static_cast<std::size_t>(total));
-  for (std::size_t s = 0; s < allowed_mask.size(); ++s) {
-    if (!allowed_mask[s]) continue;
-    const int cqi = EffectiveSubbandCqi(ue, static_cast<int>(s));
-    out[static_cast<std::size_t>(next[static_cast<std::size_t>(cqi)]++)] = static_cast<int>(s);
-  }
+  out.resize(kept);
 }
 
 void OrderByUplinkBacklog(const std::vector<UeContext*>& ues, std::vector<std::size_t>& out) {

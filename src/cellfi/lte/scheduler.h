@@ -50,7 +50,7 @@ std::unique_ptr<Scheduler> MakeScheduler(SchedulerType type);
 
 /// Shared helper: the allowed subchannels in the order a UE would pick
 /// them (descending CQI, ties in ascending subchannel index), written into
-/// `out`. A counting sort over CQI 0..15, stable by construction.
+/// `out`: the UE's cached cqi_order() filtered by the mask.
 void RankSubchannelsByCqi(const UeContext& ue, const std::vector<bool>& allowed_mask,
                           std::vector<int>& out);
 

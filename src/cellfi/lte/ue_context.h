@@ -62,12 +62,25 @@ class UeContext {
 
   // --- CQI ----------------------------------------------------------------
   /// Store a decoded mode 3-0 report (wideband + per-subchannel). Sub-band
-  /// values are CQI indices, 0..kMaxCqi (the ranking buckets by them).
+  /// values are CQI indices, 0..kMaxCqi (the ranking buckets by them). A
+  /// report equal to the stored one returns at once; any other rebuilds
+  /// cqi_efficiency() and cqi_order(), so the per-subframe readers
+  /// (scheduler, AggregateCqi) only read them.
   void UpdateCqi(int wideband, const std::vector<int>& subband);
   int wideband_cqi() const { return wideband_cqi_; }
   int SubbandCqi(int subchannel) const { return subband_cqi_[static_cast<std::size_t>(subchannel)]; }
   const std::vector<int>& subband_cqi() const { return subband_cqi_; }
   bool has_cqi() const { return has_cqi_; }
+  /// The CQI the scheduler plans with: the reported sub-band CQI, or
+  /// kMinCqi (the most robust MCS) before the first report.
+  int EffectiveSubbandCqi(int subchannel) const {
+    return has_cqi_ ? SubbandCqi(subchannel) : kMinCqi;
+  }
+  /// CqiEfficiency(EffectiveSubbandCqi(s)) for every subchannel s.
+  const std::vector<double>& cqi_efficiency() const { return cqi_efficiency_; }
+  /// Every subchannel by descending EffectiveSubbandCqi, ties in ascending
+  /// index (what std::stable_sort by CQI gives).
+  const std::vector<int>& cqi_order() const { return cqi_order_; }
 
   // --- Proportional fair --------------------------------------------------
   /// EWMA of the served rate, bits per subframe.
@@ -103,6 +116,8 @@ class UeContext {
   bool has_cqi_ = false;
   int wideband_cqi_ = 0;
   std::vector<int> subband_cqi_;
+  std::vector<double> cqi_efficiency_;
+  std::vector<int> cqi_order_;
   double average_rate_ = 1.0;  // avoid div-by-zero in PF metric
   HarqState harq_dl_;
   HarqState harq_ul_;
@@ -111,6 +126,7 @@ class UeContext {
 /// Aggregate CQI for a multi-subchannel allocation: the CQI whose spectral
 /// efficiency best matches the mean efficiency of the allocated
 /// subchannels (one MCS covers the whole transport block in LTE).
-int AggregateCqi(const std::vector<int>& subband_cqi, std::span<const int> subchannels);
+/// `efficiency` is per subchannel, as UeContext::cqi_efficiency().
+int AggregateCqi(const std::vector<double>& efficiency, std::span<const int> subchannels);
 
 }  // namespace cellfi::lte

@@ -64,15 +64,17 @@ const CqiMeasurer::Result& CqiMeasurer::Measure(const std::vector<double>& sinr_
     return result_;
   }
   valid_ = true;
-  sinr_db_ = sinr_db;
+  // Both vectors are sized in place: one allocation each on the first
+  // measurement, none after while the sub-band count holds.
+  sinr_db_.assign(sinr_db.begin(), sinr_db.end());
   margin_db_ = margin_db;
   mode30_ = mode30_wire_format;
   CqiMeasurement& m = result_.decoded;
-  m.subband_cqi.clear();
+  m.subband_cqi.resize(sinr_db.size());
   double wideband_linear = 0.0;
-  for (double s : sinr_db) {
-    m.subband_cqi.push_back(SinrToCqi(s + margin_db));
-    wideband_linear += DbToLinear(s);
+  for (std::size_t i = 0; i < sinr_db.size(); ++i) {
+    m.subband_cqi[i] = SinrToCqi(sinr_db[i] + margin_db);
+    wideband_linear += DbToLinear(sinr_db[i]);
   }
   wideband_linear /= static_cast<double>(sinr_db.size());
   result_.wideband_sinr_db = LinearToDb(wideband_linear);

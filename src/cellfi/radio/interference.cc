@@ -5,6 +5,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "cellfi/common/units.h"
+
 namespace cellfi {
 
 namespace {
@@ -111,40 +113,77 @@ std::uint64_t InterferenceMap::Intern(
   return intern_entries_.back().id;
 }
 
-double InterferenceMap::SinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
-                               SimTime now, double signal_scale) const {
-  assert(subchannel >= 0 && subchannel < num_subchannels_);
+InterferenceMap::ReceiverRow& InterferenceMap::RowOf(RadioNodeId rx) const {
   Seal();
   if (rows_.size() < env_.node_count()) rows_.resize(env_.node_count());
   ReceiverRow& row = rows_[rx];
   if (row.sinr_memo.size() < static_cast<std::size_t>(num_subchannels_)) {
     row.sinr_memo.resize(static_cast<std::size_t>(num_subchannels_));
   }
-  // Every input the computation reads: the list content (id), the signal
-  // source, fading (block), the mean-power row (position epoch), the
-  // signal share and the noise bandwidth. rx and subchannel pick the slot.
-  const SinrSlot key{
-      .list_id = list_id_[static_cast<std::size_t>(subchannel)],
+  return row;
+}
+
+InterferenceMap::SinrSlot InterferenceMap::SharedKey(RadioNodeId tx, SimTime now,
+                                                     double signal_scale) const {
+  // Every input the computation reads but the list: the signal source,
+  // fading (block), the mean-power row (position epoch), the signal share
+  // and the noise bandwidth. rx and subchannel pick the slot.
+  return SinrSlot{
       .block = env_.config().enable_fading ? env_.fading().BlockIndex(now) : 0,
       .position_epoch = env_.position_epoch(),
       .signal_scale_bits = std::bit_cast<std::uint64_t>(signal_scale),
       .bandwidth_bits = std::bit_cast<std::uint64_t>(bandwidth_hz_),
       .tx = tx,
   };
-  SinrSlot& slot = row.sinr_memo[static_cast<std::size_t>(subchannel)];
-  if (slot.list_id == key.list_id && slot.block == key.block &&
+}
+
+InterferenceMap::SinrSlot& InterferenceMap::Lookup(ReceiverRow& row, const SinrSlot& key,
+                                                    RadioNodeId rx, int subchannel,
+                                                    SimTime now) const {
+  const auto s = static_cast<std::size_t>(subchannel);
+  const std::uint64_t list_id = list_id_[s];
+  SinrSlot& slot = row.sinr_memo[s];
+  if (slot.list_id == list_id && slot.block == key.block &&
       slot.position_epoch == key.position_epoch &&
       slot.signal_scale_bits == key.signal_scale_bits &&
       slot.bandwidth_bits == key.bandwidth_bits && slot.tx == key.tx) {
     ++row.memo_hits;
-    return slot.sinr_db;
+    return slot;
   }
   ++row.memo_misses;
   slot = key;
-  slot.sinr_db = env_.SinrDb(tx, rx, static_cast<std::uint32_t>(subchannel), now,
-                             per_subchannel_[static_cast<std::size_t>(subchannel)],
-                             bandwidth_hz_, signal_scale);
-  return slot.sinr_db;
+  slot.list_id = list_id;
+  slot.sinr_db = env_.SinrDb(key.tx, rx, static_cast<std::uint32_t>(subchannel), now,
+                             per_subchannel_[s], bandwidth_hz_,
+                             std::bit_cast<double>(key.signal_scale_bits));
+  return slot;
+}
+
+double InterferenceMap::SinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel,
+                               SimTime now, double signal_scale) const {
+  assert(subchannel >= 0 && subchannel < num_subchannels_);
+  return Lookup(RowOf(rx), SharedKey(tx, now, signal_scale), rx, subchannel, now).sinr_db;
+}
+
+double InterferenceMap::SinrLinear(RadioNodeId tx, RadioNodeId rx, int subchannel,
+                                   SimTime now, double signal_scale) const {
+  assert(subchannel >= 0 && subchannel < num_subchannels_);
+  SinrSlot& slot = Lookup(RowOf(rx), SharedKey(tx, now, signal_scale), rx, subchannel, now);
+  if (!slot.has_linear) {
+    slot.sinr_linear = DbToLinear(slot.sinr_db);
+    slot.has_linear = true;
+  }
+  return slot.sinr_linear;
+}
+
+void InterferenceMap::SinrDbRow(RadioNodeId tx, RadioNodeId rx, SimTime now,
+                                double signal_scale, std::span<double> out) const {
+  assert(out.size() == static_cast<std::size_t>(num_subchannels_));
+  ReceiverRow& row = RowOf(rx);
+  const SinrSlot key = SharedKey(tx, now, signal_scale);
+  for (int s = 0; s < num_subchannels_; ++s) {
+    out[static_cast<std::size_t>(s)] = Lookup(row, key, rx, s, now).sinr_db;
+  }
 }
 
 InterferenceMap::SinrMemoStats InterferenceMap::sinr_memo_stats() const {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cellfi/common/time.h"
@@ -61,13 +62,32 @@ class InterferenceMap {
   /// hit returns the bit-identical double (DESIGN.md §20).
   ///
   /// Thread safety (DESIGN.md §15): after a serial Seal(), concurrent
-  /// SinrDb calls are safe as long as no two threads query the same
-  /// receiver `rx` — every piece of state a query mutates belongs to its
-  /// receiver.
+  /// queries (this one, SinrLinear, SinrDbRow) are safe as long as no two
+  /// threads query the same receiver `rx` — every piece of state a query
+  /// mutates belongs to its receiver.
   // cellfi-purity: contract-root(parallel-shard-phase) InterferenceMap::SinrDb
   // cellfi-purity: contract-root(imap-sealed-read) InterferenceMap::SinrDb
   double SinrDb(RadioNodeId tx, RadioNodeId rx, int subchannel, SimTime now,
                 double signal_scale) const;
+
+  /// DbToLinear(SinrDb(...)), bit for bit: the slot stores the linear
+  /// value next to the dB one, computed once per miss (on the first
+  /// linear read), so a hit costs no pow.
+  // cellfi-purity: contract-root(parallel-shard-phase) InterferenceMap::SinrLinear
+  // cellfi-purity: contract-root(imap-sealed-read) InterferenceMap::SinrLinear
+  double SinrLinear(RadioNodeId tx, RadioNodeId rx, int subchannel, SimTime now,
+                    double signal_scale) const;
+
+  /// SinrDb for every subchannel 0..num_subchannels()-1 into `out` (sized
+  /// num_subchannels()): one receiver's whole CQI report. The key fields
+  /// all subchannels share (tx, block, position epoch, signal_scale,
+  /// bandwidth) are built once; each subchannel then runs the same slot
+  /// lookup as SinrDb, so values and memo counts are the same as n SinrDb
+  /// calls in subchannel order.
+  // cellfi-purity: contract-root(parallel-shard-phase) InterferenceMap::SinrDbRow
+  // cellfi-purity: contract-root(imap-sealed-read) InterferenceMap::SinrDbRow
+  void SinrDbRow(RadioNodeId tx, RadioNodeId rx, SimTime now, double signal_scale,
+                 std::span<double> out) const;
 
   /// The shared transmitter list for one subchannel (bench/test hook).
   const std::vector<ActiveTransmitter>& transmitters(int subchannel) const {
@@ -98,7 +118,12 @@ class InterferenceMap {
     std::uint64_t signal_scale_bits = 0;
     std::uint64_t bandwidth_bits = 0;
     RadioNodeId tx = 0;
+    /// sinr_linear holds DbToLinear(sinr_db). Filled by the first
+    /// SinrLinear read after the miss: most misses come from CQI row
+    /// queries, which never read it.
+    bool has_linear = false;
     double sinr_db = 0.0;
+    double sinr_linear = 0.0;
   };
 
   /// One receiver's SINR memo, one slot per subchannel, kept across
@@ -109,6 +134,18 @@ class InterferenceMap {
     std::uint64_t memo_hits = 0;
     std::uint64_t memo_misses = 0;
   };
+
+  /// `rx`'s row after a lazy Seal(), sized for this epoch's subchannels.
+  ReceiverRow& RowOf(RadioNodeId rx) const;
+
+  /// The key fields a query from `tx` at `now` with `signal_scale` shares
+  /// across subchannels; list_id is left 0.
+  SinrSlot SharedKey(RadioNodeId tx, SimTime now, double signal_scale) const;
+
+  /// `subchannel`'s slot in `row` (which is RowOf(rx)) for `key` plus the
+  /// subchannel's list id: returned as is on a hit, recomputed on a miss.
+  SinrSlot& Lookup(ReceiverRow& row, const SinrSlot& key, RadioNodeId rx, int subchannel,
+                   SimTime now) const;
 
   /// An interned list: its content is intern_arena_[offset, offset + length).
   struct InternEntry {

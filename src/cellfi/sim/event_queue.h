@@ -25,8 +25,9 @@ class EventId {
 
  private:
   friend class Simulator;
-  explicit EventId(std::uint64_t seq) : seq_(seq) {}
+  EventId(std::uint64_t seq, SimTime when) : seq_(seq), when_(when) {}
   std::uint64_t seq_ = 0;
+  SimTime when_ = 0;  // the (first) occurrence's time: (when_, seq_) is its queue key
 };
 
 /// Single-threaded discrete-event simulator.
@@ -53,9 +54,9 @@ class Simulator {
   /// allocates.
   EventId SchedulePeriodic(SimTime period, Callback cb);
 
-  /// Cancel a pending event. Safe to call for already-fired events (no-op).
-  /// Cancelling a periodic chain whose first occurrence has already fired
-  /// only stops the chain; nothing is left recorded for the fired id.
+  /// Cancel a pending event. Safe to call for already-fired events (no-op:
+  /// nothing is recorded for a fired id). Cancelling a periodic chain whose
+  /// first occurrence has already fired only stops the chain.
   void Cancel(EventId id);
 
   /// Run until the event queue drains or `until` is reached (whichever is
@@ -72,7 +73,7 @@ class Simulator {
   bool HasPending() const;
 
   /// Ids Cancel has recorded and the queue has not popped yet (for tests /
-  /// diagnostics). A one-shot id cancelled after it fired stays counted.
+  /// diagnostics).
   std::size_t pending_cancellations() const { return cancelled_.size(); }
 
  private:
@@ -90,21 +91,26 @@ class Simulator {
   };
 
   void ExecuteNext();
+  /// True once `id`'s (first) occurrence has left the queue. Popped keys
+  /// strictly increase and every newly queued key exceeds the last popped
+  /// one, so an event has popped iff its key is <= the last popped key.
+  bool Popped(EventId id) const {
+    return id.when_ != last_when_ ? id.when_ < last_when_ : id.seq_ <= last_seq_;
+  }
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Key of the last popped event (seq 0: none yet).
+  SimTime last_when_ = 0;
+  std::uint64_t last_seq_ = 0;
   std::unordered_set<std::uint64_t> cancelled_;
-  struct Chain {
-    bool alive = true;
-    bool first_queued = true;  // the first occurrence has not popped yet
-  };
   /// Periodic chains: the first occurrence's seq (the id Cancel receives)
-  /// -> the chain's index in chains_, kept for the simulator's life so a
-  /// repeated Cancel still finds the chain. Cancel clears `alive`.
+  /// -> the chain's index in chain_alive_, kept for the simulator's life
+  /// so a repeated Cancel still finds the chain. Cancel clears the flag.
   std::unordered_map<std::uint64_t, std::size_t> chain_of_first_;
-  std::vector<Chain> chains_;
+  std::vector<std::uint8_t> chain_alive_;
 };
 
 }  // namespace cellfi

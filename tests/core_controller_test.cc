@@ -52,6 +52,45 @@ class ControllerFixture : public ::testing::Test {
   lte::LteNetwork net_;
 };
 
+TEST_F(ControllerFixture, DetectorsAreKeptPerCellAcrossHandovers) {
+  const CellId a = AddCellAt({0, 0});
+  const CellId b = AddCellAt({700, 0});
+  const UeId first = AddUeAt({100, 0});
+  const UeId ue = AddUeAt({300, 0});
+  CellfiController controller(sim_, net_, {});
+  const auto report = [&](CellId cell, UeId id, int cqi) {
+    CqiMeasurement m;
+    m.wideband_cqi = cqi;
+    m.subband_cqi.assign(13, cqi);
+    net_.on_cqi_report(cell, id, m);
+  };
+
+  EXPECT_EQ(controller.detector(a, ue), nullptr);
+  // The higher UE id reports first, so the cell's index grows past an id
+  // that has no detector yet.
+  for (int r = 0; r < 20; ++r) report(a, ue, 10);
+  EXPECT_EQ(controller.detector(a, first), nullptr);
+  report(a, first, 12);
+  ASSERT_NE(controller.detector(a, first), nullptr);
+  EXPECT_EQ(controller.detector(a, first)->MaxCqi(0), 12);
+
+  // Handover to b: a fresh detector there; a's stays as it was.
+  for (int r = 0; r < 20; ++r) report(b, ue, 4);
+  ASSERT_NE(controller.detector(b, ue), nullptr);
+  EXPECT_EQ(controller.detector(b, ue)->MaxCqi(0), 4);
+  EXPECT_EQ(controller.detector(a, ue)->MaxCqi(0), 10);
+
+  // Back to a: the old detector resumes. Its window still holds the CQI 10
+  // samples, so a CQI 3 report is low against them (3 < 0.6 * 10); a fresh
+  // detector would take 3 as its maximum.
+  report(a, ue, 3);
+  const CqiInterferenceDetector* resumed = controller.detector(a, ue);
+  ASSERT_NE(resumed, nullptr);
+  EXPECT_EQ(resumed->MaxCqi(0), 10);
+  EXPECT_EQ(resumed->LowStreak(0), 1);
+  EXPECT_EQ(controller.detector(b, ue)->MaxCqi(0), 4);
+}
+
 TEST_F(ControllerFixture, SharesConvergeAndOverlapDisappears) {
   // Two cells 700 m apart with cell-edge clients between them: heavy mutual
   // interference under plain LTE.

@@ -6,7 +6,8 @@
 // total: link rows are sized on a receiver's first query, not per AddNode.
 // A CQI detector keeps its candidates in one ring for all sub-bands, so a
 // paper-sized detector stays within a few KiB and stops allocating once
-// its ring has grown to the CQI range.
+// its ring has grown to the CQI range. A UE's first CQI measurement sizes
+// its two vectors once.
 //
 // This binary replaces the global operator new/delete with a counting pair,
 // which is why it is its own executable. Sanitizer builds own operator new
@@ -24,6 +25,7 @@
 #include "cellfi/common/rng.h"
 #include "cellfi/core/cqi_detector.h"
 #include "cellfi/lte/network.h"
+#include "cellfi/phy/cqi_report.h"
 #include "cellfi/radio/pathloss.h"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -233,8 +235,8 @@ TEST(CqiDetectorMemoryTest, PaperDetectorStaysSmall) {
                                    << g_allocations.load() << " allocations)";
 
   // CQI spans 0..15, so no band ever holds more than 16 candidates. The
-  // reports above have grown the ring to 16 slots per band (3,328 B in
-  // four blocks), so from here on reports never touch the heap.
+  // reports above have grown the ring to 16 slots per band (3,276 B in
+  // six blocks), so from here on reports never touch the heap.
   g_allocations.store(0);
   g_counting.store(true);
   for (int r = 0; r < 10000; ++r) {
@@ -243,6 +245,33 @@ TEST(CqiDetectorMemoryTest, PaperDetectorStaysSmall) {
   }
   g_counting.store(false);
   EXPECT_EQ(g_allocations.load(), 0u) << "heap allocations over the next 10,000 reports";
+#endif
+}
+
+TEST(CqiMeasurerAllocTest, FirstMeasureSizesItsVectorsOnce) {
+#ifdef CELLFI_ALLOC_GATE_SANITIZED
+  GTEST_SKIP() << "sanitizer runtimes replace operator new; the counting "
+                  "replacement is compiled out";
+#else
+  constexpr int kBands = 13;
+  std::vector<double> sinr_db(kBands);
+  for (int s = 0; s < kBands; ++s) sinr_db[static_cast<std::size_t>(s)] = -3.0 + 1.7 * s;
+  CqiMeasurer measurer;
+  g_allocations.store(0);
+  g_counting.store(true);
+  const int first = measurer.Measure(sinr_db, 3.0, false).decoded.subband_cqi.at(12);
+  g_counting.store(false);
+  // One block for the stored SINRs, one for the sub-band CQIs.
+  EXPECT_LE(g_allocations.load(), 2u) << "allocations by a UE's first measurement";
+  EXPECT_GT(first, 0);
+
+  // New SINRs of the same width (a miss) reuse both blocks.
+  sinr_db[4] += 6.0;
+  g_allocations.store(0);
+  g_counting.store(true);
+  measurer.Measure(sinr_db, 3.0, false);
+  g_counting.store(false);
+  EXPECT_EQ(g_allocations.load(), 0u) << "allocations by a later measurement";
 #endif
 }
 

@@ -300,6 +300,87 @@ TEST_P(InterferenceMapMemoTest, MatchesUncachedOracleExactly) {
 INSTANTIATE_TEST_SUITE_P(FadingOnOff, InterferenceMapMemoTest, ::testing::Bool());
 
 // ---------------------------------------------------------------------------
+// Row query and linear slot (DESIGN.md §20): SinrDbRow on one map must give
+// the doubles n per-subchannel SinrDb calls give on an identical second
+// map, and move the memo counters the same way; SinrLinear must be
+// DbToLinear of the dB answer, bit for bit.
+// ---------------------------------------------------------------------------
+
+class RowQueryTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(RowQueryTest, RowEqualsPerSubchannelQueriesAndLinearEqualsDbToLinear) {
+  const bool fading = GetParam();
+  World row_world(EnvConfig(fading));
+  World per_sub_world(EnvConfig(fading));
+  InterferenceMap row_map(row_world.env);
+  InterferenceMap per_sub_map(per_sub_world.env);
+  constexpr double kDl = 1.0 / 13.0;
+  std::vector<double> row(13);
+
+  // Every transmitter on every subchannel except tx's own `skip`-th ones,
+  // so the lists differ per subchannel and between epochs.
+  const auto epoch = [&](int skip) {
+    for (auto* w : {&row_world, &per_sub_world}) {
+      InterferenceMap& map = w == &row_world ? row_map : per_sub_map;
+      map.BeginEpoch(13, 360e3);
+      for (int s = 0; s < 13; ++s) {
+        map.AddTransmitter(s, w->tx, kDl);
+        for (std::size_t i = 0; i < w->others.size(); ++i) {
+          if ((s + static_cast<int>(i)) % skip != 0) map.AddTransmitter(s, w->others[i], kDl);
+        }
+      }
+      map.Seal();
+    }
+  };
+  const auto step = [&](RadioNodeId tx, RadioNodeId rx, SimTime now, const std::string& what) {
+    const InterferenceMap::SinrMemoStats row_before = row_map.sinr_memo_stats();
+    const InterferenceMap::SinrMemoStats per_sub_before = per_sub_map.sinr_memo_stats();
+    row_map.SinrDbRow(tx, rx, now, kDl, row);
+    std::vector<double> per_sub(13);
+    for (int s = 0; s < 13; ++s) {
+      per_sub[static_cast<std::size_t>(s)] = per_sub_map.SinrDb(tx, rx, s, now, kDl);
+      EXPECT_TRUE(BitEqual(row[static_cast<std::size_t>(s)], per_sub[static_cast<std::size_t>(s)]))
+          << what << " fading=" << fading << " s=" << s;
+    }
+    const InterferenceMap::SinrMemoStats row_after = row_map.sinr_memo_stats();
+    const InterferenceMap::SinrMemoStats per_sub_after = per_sub_map.sinr_memo_stats();
+    EXPECT_EQ(row_after.hits - row_before.hits, per_sub_after.hits - per_sub_before.hits)
+        << what;
+    EXPECT_EQ(row_after.misses - row_before.misses,
+              per_sub_after.misses - per_sub_before.misses)
+        << what;
+    // The linear reads hit the slots the row query just filled.
+    for (int s = 0; s < 13; ++s) {
+      EXPECT_TRUE(BitEqual(row_map.SinrLinear(tx, rx, s, now, kDl),
+                           DbToLinear(per_sub[static_cast<std::size_t>(s)])))
+          << what << " linear, fading=" << fading << " s=" << s;
+    }
+    EXPECT_EQ(row_map.sinr_memo_stats().hits, row_after.hits + 13) << what;
+    EXPECT_EQ(row_map.sinr_memo_stats().misses, row_after.misses) << what;
+    return row_after.misses - row_before.misses;
+  };
+
+  const RadioNodeId tx = row_world.tx;
+  const RadioNodeId rx = row_world.rx;
+  epoch(3);
+  EXPECT_EQ(step(tx, rx, 10 * kMillisecond, "first epoch"), 13u);
+  EXPECT_EQ(step(tx, rx, 20 * kMillisecond, "same block"), 0u);
+  // Fading-block boundary (50 ms blocks): every slot misses with fading on.
+  EXPECT_EQ(step(tx, rx, 50 * kMillisecond, "next fading block"), fading ? 13u : 0u);
+  epoch(4);
+  step(tx, rx, 60 * kMillisecond, "new lists");
+  EXPECT_EQ(step(row_world.others[2], rx, 60 * kMillisecond, "other signal source"), 13u);
+  // Mobility bumps the position epoch: every slot misses.
+  row_world.env.MoveNode(rx, {80, -40});
+  per_sub_world.env.MoveNode(per_sub_world.rx, {80, -40});
+  EXPECT_EQ(step(tx, rx, 60 * kMillisecond, "receiver moved"), 13u);
+  EXPECT_EQ(step(tx, rx, 99 * kMillisecond, "after move, same block"), 0u);
+  EXPECT_EQ(step(tx, rx, 100 * kMillisecond, "after move, next block"), fading ? 13u : 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(FadingOnOff, RowQueryTest, ::testing::Bool());
+
+// ---------------------------------------------------------------------------
 // Network-level reference: after every subframe, each connected UE's
 // MeasureDownlinkSinr must equal, bit for bit, RadioEnvironment::SinrDb on
 // a second, identically seeded environment that shares no cache with the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -271,20 +272,133 @@ TEST_F(SchedulerFixture, UplinkBacklogOrderMatchesStableSortOracle) {
   }
 }
 
+/// The efficiency row of a UE whose only report is `cq`.
+std::vector<double> EfficiencyOf(const std::vector<int>& cq) {
+  UeContext ue(0, static_cast<int>(cq.size()));
+  ue.UpdateCqi(cq.front(), cq);
+  return ue.cqi_efficiency();
+}
+
 TEST(AggregateCqiTest, MeanEfficiencyQuantizedDown) {
-  std::vector<int> cq = {15, 1, 1, 1};
+  const std::vector<double> eff = EfficiencyOf({15, 1, 1, 1});
   // Mean efficiency of {15,1} over subchannels {0,1} = (5.55+0.15)/2 = 2.85
   // -> CQI 10 (2.73) is the largest not exceeding it.
-  EXPECT_EQ(AggregateCqi(cq, std::vector<int>{0, 1}), 10);
-  EXPECT_EQ(AggregateCqi(cq, std::vector<int>{0}), 15);
-  EXPECT_EQ(AggregateCqi(cq, std::vector<int>{1}), 1);
-  EXPECT_EQ(AggregateCqi(cq, {}), 0);
+  EXPECT_EQ(AggregateCqi(eff, std::vector<int>{0, 1}), 10);
+  EXPECT_EQ(AggregateCqi(eff, std::vector<int>{0}), 15);
+  EXPECT_EQ(AggregateCqi(eff, std::vector<int>{1}), 1);
+  EXPECT_EQ(AggregateCqi(eff, {}), 0);
 }
 
 TEST(AggregateCqiTest, ZeroCqiSubchannelDragsDown) {
-  std::vector<int> cq = {0, 0, 0, 6};
-  const int agg = AggregateCqi(cq, std::vector<int>{0, 1, 2, 3});
+  const int agg = AggregateCqi(EfficiencyOf({0, 0, 0, 6}), std::vector<int>{0, 1, 2, 3});
   EXPECT_LT(agg, 6);
+}
+
+TEST(AggregateCqiTest, UnreportedUeGetsMinCqi) {
+  const UeContext ue(0, 13);
+  EXPECT_EQ(AggregateCqi(ue.cqi_efficiency(), std::vector<int>{0, 4, 12}), kMinCqi);
+}
+
+/// Both derived CQI rows against their definitions: the efficiency of the
+/// effective CQI, and every subchannel stable-sorted by it.
+void ExpectCqiStateMatchesOracle(const UeContext& ue, const std::string& what) {
+  const int n = static_cast<int>(ue.subband_cqi().size());
+  std::vector<int> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return ue.EffectiveSubbandCqi(a) > ue.EffectiveSubbandCqi(b);
+  });
+  EXPECT_EQ(ue.cqi_order(), order) << what;
+  for (int s = 0; s < n; ++s) {
+    EXPECT_EQ(ue.cqi_efficiency()[static_cast<std::size_t>(s)],
+              CqiEfficiency(ue.EffectiveSubbandCqi(s)))
+        << what << " s=" << s;
+  }
+}
+
+TEST(UeCqiStateTest, CachedRowsMatchOraclesAcrossReportsAndHandover) {
+  Rng rng(31);
+  for (int n : {13, 25}) {
+    UeContext ue(0, n);
+    ExpectCqiStateMatchesOracle(ue, "before the first report");
+    std::vector<int> cq(static_cast<std::size_t>(n), 0);
+    for (int report = 0; report < 400; ++report) {
+      // About half the reports repeat the previous one; the rest redraw a
+      // few sub-bands (ties are common with 16 levels over 13+ sub-bands).
+      if (!rng.Bernoulli(0.5)) {
+        for (int k = 0; k < 3; ++k) {
+          cq[static_cast<std::size_t>(rng.UniformInt(0, n - 1))] =
+              static_cast<int>(rng.UniformInt(0, kMaxCqi));
+        }
+      }
+      ue.UpdateCqi(static_cast<int>(rng.UniformInt(0, kMaxCqi)), cq);
+      EXPECT_EQ(ue.subband_cqi(), cq);
+      ExpectCqiStateMatchesOracle(ue, "report " + std::to_string(report));
+    }
+    // Handover: the target cell's fresh context imports queues and
+    // statistics but no CQI, so it plans at kMinCqi again.
+    UeContext target(0, n);
+    target.ImportOnHandover(ue);
+    EXPECT_FALSE(target.has_cqi());
+    ExpectCqiStateMatchesOracle(target, "after handover");
+    target.UpdateCqi(9, cq);
+    ExpectCqiStateMatchesOracle(target, "first report after handover");
+  }
+}
+
+/// Test-local reference for the proportional-fair pass: subchannel-major,
+/// CQI and efficiency derived per (subchannel, UE) on every call.
+SubchannelAssignment PfReference(const std::vector<UeContext*>& ues,
+                                 const std::vector<bool>& mask,
+                                 SubchannelAssignment out) {
+  for (std::size_t s = 0; s < mask.size(); ++s) {
+    if (!mask[s] || out[s] != -1) continue;
+    double best_metric = 0.0;
+    int best_ue = -1;
+    for (std::size_t u = 0; u < ues.size(); ++u) {
+      const UeContext& ue = *ues[u];
+      if (ue.harq_dl().active || ue.dl_queue_bytes() == 0) continue;
+      const int cqi = ue.EffectiveSubbandCqi(static_cast<int>(s));
+      if (cqi < kMinCqi) continue;
+      const double metric = CqiEfficiency(cqi) / ue.average_rate();
+      if (metric > best_metric) {
+        best_metric = metric;
+        best_ue = static_cast<int>(u);
+      }
+    }
+    out[s] = best_ue;
+  }
+  return out;
+}
+
+TEST_F(SchedulerFixture, PfMatchesSubchannelMajorReference) {
+  Rng rng(57);
+  auto sched = MakeScheduler(SchedulerType::kProportionalFair);
+  SubchannelAssignment got;
+  for (int trial = 0; trial < 300; ++trial) {
+    ues_.clear();
+    ptrs_.clear();
+    const int n = static_cast<int>(rng.UniformInt(1, 6));
+    for (int u = 0; u < n; ++u) {
+      ues_.push_back(std::make_unique<UeContext>(u, kSubchannels));
+      UeContext& ue = *ues_.back();
+      if (rng.Bernoulli(0.8)) ue.EnqueueDownlink(1 << 16);
+      if (rng.Bernoulli(0.8)) {  // the rest have not reported yet
+        std::vector<int> cq(kSubchannels);
+        for (int& c : cq) c = static_cast<int>(rng.UniformInt(0, 4)) * 3;  // ties
+        ue.UpdateCqi(7, cq);
+      }
+      // Equal averages on some UEs so metric ties go to list order.
+      ue.UpdatePfAverage(rng.Bernoulli(0.5) ? 500.0 : 900.0, 10.0);
+      ptrs_.push_back(&ue);
+    }
+    std::vector<bool> mask(kSubchannels, true);
+    for (std::size_t s = 0; s < mask.size(); ++s) mask[s] = rng.Bernoulli(0.8);
+    sched->AssignDownlink(ptrs_, mask, got);
+    // No HARQ is pending, so the pass starts from an all -1 assignment.
+    EXPECT_EQ(got, PfReference(ptrs_, mask, SubchannelAssignment(kSubchannels, -1)))
+        << "trial " << trial;
+  }
 }
 
 }  // namespace

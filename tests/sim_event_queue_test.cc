@@ -81,6 +81,44 @@ TEST(SimulatorTest, CancelPreventsExecution) {
   EXPECT_EQ(sim.executed_events(), 0u);
 }
 
+TEST(SimulatorTest, CancellingFiredOneShotsRecordsNothing) {
+  Simulator sim;
+  std::vector<EventId> ids;
+  int fired = 0;
+  for (int i = 0; i < 1000; ++i) {
+    ids.push_back(sim.ScheduleAt(1 + i % 7, [&] { ++fired; }));
+  }
+  sim.Run();
+  for (EventId id : ids) sim.Cancel(id);
+  EXPECT_EQ(fired, 1000);
+  EXPECT_EQ(sim.pending_cancellations(), 0u);
+}
+
+TEST(SimulatorTest, CancelAtTheFiringInstantOnlyRecordsQueuedEvents) {
+  Simulator sim;
+  std::vector<int> order;
+  EventId first;
+  EventId second;
+  EventId late;
+  // Same timestamp: the first event cancels itself (fired: nothing to
+  // record) and the second (queued behind it: recorded, then dropped).
+  first = sim.ScheduleAt(10, [&] {
+    order.push_back(1);
+    sim.Cancel(first);
+    sim.Cancel(second);
+    EXPECT_EQ(sim.pending_cancellations(), 1u);
+  });
+  second = sim.ScheduleAt(10, [&] { order.push_back(2); });
+  late = sim.ScheduleAt(100, [&] { order.push_back(3); });
+  // RunUntil moves the clock past nothing the queue popped: the event at
+  // 100 is still queued and a cancel must stop it.
+  sim.RunUntil(50);
+  sim.Cancel(late);
+  sim.Run();
+  EXPECT_EQ(order, std::vector<int>{1});
+  EXPECT_EQ(sim.pending_cancellations(), 0u);
+}
+
 TEST(SimulatorTest, CancelInvalidIdIsNoop) {
   Simulator sim;
   sim.Cancel(EventId{});
